@@ -287,36 +287,18 @@ impl Harness {
     }
 
     /// Runs `warmup` logical seconds (policy active, samples discarded)
-    /// followed by `measure` recorded seconds.
+    /// followed by `measure` recorded seconds: [`Harness::run_supervised`]
+    /// from second 0 with the no-op `()` supervisor.
     pub fn run(&mut self, warmup: u64, measure: u64) -> RunReport {
-        let mut samples = Vec::with_capacity(measure as usize);
-        for second in 0..warmup + measure {
-            self.system.run_logical_seconds(1);
-            let sample = self.system.sample();
-            if let Some(policy) = self.policy.as_mut() {
-                policy.tick(&mut self.system, &sample);
-            }
-            if second >= warmup {
-                samples.push(sample);
-            }
-        }
-        RunReport {
-            policy: self
-                .policy
-                .as_ref()
-                .map_or("none".into(), |p| p.name().to_string()),
-            samples,
+        match self.run_supervised(warmup, measure, 0, Vec::new(), &mut ()) {
+            Ok(report) => report,
+            Err(never) => unreachable!("the no-op supervisor never aborts: {never}"),
         }
     }
 
-    /// Convenience wrapper: run `seconds` with no warm-up.
-    pub fn run_secs(&mut self, seconds: u64) -> RunReport {
-        self.run(0, seconds)
-    }
-
-    /// The supervised variant of [`Harness::run`]: after every logical
-    /// second (sample taken, policy ticked, sample recorded) the
-    /// supervisor observes the run and may abort it.
+    /// Runs the measurement protocol, letting `supervisor` observe the
+    /// run after every logical second (sample taken, policy ticked,
+    /// sample recorded) and abort it.
     ///
     /// Resume support: `start_second` is the count of logical seconds a
     /// previous incarnation already completed, and `samples` seeds the
@@ -411,6 +393,14 @@ pub trait RunSupervisor {
     fn after_second(&mut self, ctx: SupervisorCtx<'_>) -> Result<(), String>;
 }
 
+/// The no-op supervisor: observes nothing and never aborts, so an
+/// unsupervised [`Harness::run`] is the supervised loop with `()`.
+impl RunSupervisor for () {
+    fn after_second(&mut self, _ctx: SupervisorCtx<'_>) -> Result<(), String> {
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,7 +449,7 @@ mod tests {
     fn runs_without_policy() {
         let sys = System::new(SystemConfig::small_test());
         let mut h = Harness::new(sys);
-        let report = h.run_secs(2);
+        let report = h.run(0, 2);
         assert_eq!(report.policy, "none");
         assert_eq!(report.samples.len(), 2);
         assert_eq!(report.mem_read_gbps(), 0.0);
@@ -539,7 +529,7 @@ mod tests {
         sys.add_workload(Box::new(Busy(base)), vec![CoreId(0)], Priority::High)
             .unwrap();
         let mut h = Harness::new(sys);
-        let report = h.run_secs(3);
+        let report = h.run(0, 3);
         assert!((report.measured_secs() - 3e-5).abs() < 1e-15);
     }
 
@@ -556,24 +546,42 @@ mod tests {
         )
     }
 
-    struct Noop;
-    impl RunSupervisor for Noop {
-        fn after_second(&mut self, _ctx: SupervisorCtx<'_>) -> Result<(), String> {
+    /// Records every context it is shown, never aborting.
+    #[derive(Default)]
+    struct Recorder {
+        seen: Vec<(u64, u64, usize, u64)>,
+    }
+    impl RunSupervisor for Recorder {
+        fn after_second(&mut self, ctx: SupervisorCtx<'_>) -> Result<(), String> {
+            self.seen.push((
+                ctx.second,
+                ctx.warmup,
+                ctx.samples.len(),
+                ctx.system.quantum_count(),
+            ));
             Ok(())
         }
     }
 
     #[test]
     fn supervised_run_matches_unsupervised() {
-        let mut a = supervised_fixture();
-        let ra = a.run(2, 3);
-        let mut b = supervised_fixture();
-        let rb = b.run_supervised(2, 3, 0, Vec::new(), &mut Noop).unwrap();
+        let ra = supervised_fixture().run(2, 3);
+        let mut recorder = Recorder::default();
+        let rb = supervised_fixture()
+            .run_supervised(2, 3, 0, Vec::new(), &mut recorder)
+            .unwrap();
         assert_eq!(
             serde_json::to_string(&ra.samples).unwrap(),
             serde_json::to_string(&rb.samples).unwrap(),
-            "the supervisor hook must not perturb the run"
+            "an observing supervisor must not perturb the run"
         );
+        // One context per logical second, samples only after warm-up.
+        let seconds: Vec<u64> = recorder.seen.iter().map(|c| c.0).collect();
+        assert_eq!(seconds, [1, 2, 3, 4, 5]);
+        let recorded: Vec<usize> = recorder.seen.iter().map(|c| c.2).collect();
+        assert_eq!(recorded, [0, 0, 1, 2, 3]);
+        assert!(recorder.seen.iter().all(|c| c.1 == 2));
+        assert!(recorder.seen.windows(2).all(|w| w[0].3 < w[1].3));
     }
 
     /// Checkpoints system + policy + samples at one logical second.
@@ -602,7 +610,7 @@ mod tests {
     #[test]
     fn resumed_run_is_bit_identical() {
         let reference = supervised_fixture()
-            .run_supervised(2, 5, 0, Vec::new(), &mut Noop)
+            .run_supervised(2, 5, 0, Vec::new(), &mut ())
             .unwrap();
 
         // Interrupted incarnation: checkpoint after second 4 (inside the
@@ -625,7 +633,7 @@ mod tests {
         let pol_state: crate::PolicyState = serde_json::from_str(&ckpt.policy.unwrap()).unwrap();
         assert!(resumed.policy_mut().unwrap().restore_ckpt(&pol_state));
         let report = resumed
-            .run_supervised(2, 5, 4, ckpt.samples, &mut Noop)
+            .run_supervised(2, 5, 4, ckpt.samples, &mut ())
             .unwrap();
 
         assert_eq!(report.samples.len(), reference.samples.len());
@@ -661,7 +669,7 @@ mod tests {
     fn aggregates_handle_missing_workloads() {
         let sys = System::new(SystemConfig::small_test());
         let mut h = Harness::new(sys);
-        let report = h.run_secs(1);
+        let report = h.run(0, 1);
         let ghost = a4_model::WorkloadId(42);
         assert_eq!(report.ipc(ghost), 0.0);
         assert_eq!(report.total_ops(ghost), 0);

@@ -90,7 +90,7 @@ use a4_experiments::cache::ResultCache;
 use a4_experiments::fig11;
 use a4_experiments::service::ServiceError;
 use a4_experiments::{drain_queue, fabric_health, Backoff, DrainReport, FaultFs, Fs};
-use a4_experiments::{figures, FigureDef, JobTables, SeedPolicy, Shard, SweepJob};
+use a4_experiments::{figures, FigureDef, JobTables, Protocol, SeedPolicy, Shard, SweepJob};
 use a4_experiments::{CkptStore, MAX_ATTEMPTS};
 use a4_experiments::{JobQueue, Task};
 use a4_experiments::{RunOpts, ScenarioSpec, Scheme, SweepRunner, Table, TableStats};
@@ -154,15 +154,7 @@ fn timing_cell(opts: &RunOpts, scheme: Scheme) -> ScenarioSpec {
 /// wall-clock and quanta/sec for the fig12 representative cell under the
 /// Default and A4-d schemes (best of `reps` runs each).
 fn run_timing(quick: bool, json_dir: Option<&str>) {
-    let opts = if quick {
-        RunOpts {
-            warmup: 12,
-            measure: 4,
-            ..RunOpts::quick()
-        }
-    } else {
-        RunOpts::controller()
-    };
+    let opts = Protocol::Controller.opts(quick);
     // Quanta per logical second comes from the built cell's system
     // config, so a future quantum change cannot silently skew the
     // trajectory this artifact tracks.
@@ -668,30 +660,39 @@ fn main() {
             "[a4-repro] running {} scenario(s) from {path} on {threads} thread(s)...",
             specs.len()
         );
+        // Runs the spec file at every replica (replica r's runner
+        // derives seeds as replica(r)); failures are rebased onto the
+        // replica-major unit index, as a figure job reports them.
+        let mut failures = Vec::new();
+        let per_replica: Vec<Vec<Table>> = (0..replicas)
+            .map(|r| {
+                let replica_runner = if replicas > 1 {
+                    runner.clone().replica(r as u64)
+                } else {
+                    runner.clone()
+                };
+                let outcome = replica_runner.run_specs_robust(&specs);
+                failures.extend(outcome.failures.into_iter().map(|mut f| {
+                    f.index += r * specs.len();
+                    f
+                }));
+                outcome.runs.iter().flatten().map(spec_table).collect()
+            })
+            .collect();
+        if !failures.is_empty() {
+            fail(ServiceError::CellsFailed {
+                figure: path.clone(),
+                failures,
+                total: replicas * specs.len(),
+            });
+        }
         if replicas > 1 {
-            // Runs the spec file at every replica and aggregates
-            // cell-wise; replica r's runner derives seeds as replica(r).
-            let per_replica: Vec<Vec<Table>> = (0..replicas as u64)
-                .map(|r| {
-                    runner
-                        .clone()
-                        .replica(r)
-                        .run_specs(&specs)
-                        .unwrap_or_else(|e| fail(format!("spec failed to build: {e}")))
-                        .iter()
-                        .map(spec_table)
-                        .collect()
-                })
-                .collect();
             replica_tables.extend((0..per_replica[0].len()).map(|ti| {
                 let group: Vec<Table> = per_replica.iter().map(|rep| rep[ti].clone()).collect();
                 TableStats::from_replicas(&group)
             }));
         } else {
-            let runs = runner
-                .run_specs(&specs)
-                .unwrap_or_else(|e| fail(format!("spec failed to build: {e}")));
-            tables.extend(runs.iter().map(spec_table));
+            tables.extend(per_replica.into_iter().flatten());
         }
     }
 

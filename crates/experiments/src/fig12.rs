@@ -6,7 +6,7 @@
 //! ending 58 % lower latency / 5 % higher throughput at 2 MB.
 
 use crate::fig11::mix_spec;
-use crate::runner::{SweepRunner, TypedAxis, TypedSweep2};
+use crate::runner::{TypedAxis, TypedSweep2};
 use crate::spec::{RunOpts, ScenarioRun, ScenarioSpec, Scheme};
 use crate::table::Table;
 use a4_sim::LatencyKind;
@@ -49,19 +49,6 @@ pub fn table(runs: &[ScenarioRun]) -> Table {
         table.push(label.clone(), row);
     }
     table
-}
-
-/// Runs the full figure serially.
-pub fn run(opts: &RunOpts) -> Table {
-    run_with(opts, &SweepRunner::serial())
-}
-
-/// Runs the full figure, fanning cells out over `runner`: per block
-/// size, per scheme, DPDK-T tail latency (µs) and network read
-/// throughput (GB/s).
-pub fn run_with(opts: &RunOpts, runner: &SweepRunner) -> Table {
-    let runs = runner.run_specs(&specs(opts)).expect("static fig12 layout");
-    table(&runs)
 }
 
 #[cfg(test)]

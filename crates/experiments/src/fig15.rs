@@ -7,7 +7,6 @@
 //! * 15c — stable interval 1/5/10/20 s vs an oracle that never reverts.
 
 use crate::fig13::mix_spec;
-use crate::runner::SweepRunner;
 use crate::spec::{RunOpts, ScenarioRun, ScenarioSpec, Scheme};
 use crate::table::Table;
 use a4_core::{FeatureLevel, Thresholds};
@@ -127,14 +126,6 @@ pub fn points_c() -> Vec<(String, Thresholds)> {
     .collect()
 }
 
-/// All cells of one panel: the shared baseline first, then one A4 cell
-/// per threshold point.
-pub fn panel_specs(opts: &RunOpts, points: &[(String, Thresholds)]) -> Vec<ScenarioSpec> {
-    let mut specs = vec![baseline_spec(opts)];
-    specs.extend(points.iter().map(|(_, t)| spec(opts, *t)));
-    specs
-}
-
 /// Every distinct cell of the figure: the Default baseline once, then
 /// the three panels' threshold points (the baseline is shared across
 /// panels, so it is not repeated).
@@ -159,27 +150,6 @@ fn panel_table(
         table.push(label.clone(), [hp, lp, all]);
     }
     table
-}
-
-fn run_panel(
-    opts: &RunOpts,
-    runner: &SweepRunner,
-    id: &str,
-    title: &str,
-    points: &[(String, Thresholds)],
-) -> Table {
-    let runs = runner
-        .run_specs(&panel_specs(opts, points))
-        .expect("static fig15 layout");
-    panel_table(id, title, points, &runs[0], &runs[1..])
-}
-
-/// Runs all three panels sharing one Default baseline simulation (the
-/// cells of [`specs`], exactly once each); returns
-/// `[fig15a, fig15b, fig15c]`.
-pub fn run_all_with(opts: &RunOpts, runner: &SweepRunner) -> Vec<Table> {
-    let runs = runner.run_specs(&specs(opts)).expect("static fig15 layout");
-    tables(&runs)
 }
 
 /// Renders `[fig15a, fig15b, fig15c]` from the runs of [`specs`] (same
@@ -207,54 +177,6 @@ pub fn tables(runs: &[ScenarioRun]) -> Vec<Table> {
         ),
         panel_table("fig15c", "stable interval vs oracle", &c, baseline, runs_c),
     ]
-}
-
-/// Fig. 15a: T1 × T5 sweep, serial.
-pub fn run_a(opts: &RunOpts) -> Table {
-    run_a_with(opts, &SweepRunner::serial())
-}
-
-/// Fig. 15a: T1 × T5 sweep over `runner`.
-pub fn run_a_with(opts: &RunOpts, runner: &SweepRunner) -> Table {
-    run_panel(
-        opts,
-        runner,
-        "fig15a",
-        "partitioning thresholds T1 x T5",
-        &points_a(),
-    )
-}
-
-/// Fig. 15b: antagonist-detection thresholds T2/T3/T4, serial.
-pub fn run_b(opts: &RunOpts) -> Table {
-    run_b_with(opts, &SweepRunner::serial())
-}
-
-/// Fig. 15b: antagonist-detection thresholds over `runner`.
-pub fn run_b_with(opts: &RunOpts, runner: &SweepRunner) -> Table {
-    run_panel(
-        opts,
-        runner,
-        "fig15b",
-        "antagonist detection thresholds T2/T3/T4",
-        &points_b(),
-    )
-}
-
-/// Fig. 15c: stable interval sweep vs oracle, serial.
-pub fn run_c(opts: &RunOpts) -> Table {
-    run_c_with(opts, &SweepRunner::serial())
-}
-
-/// Fig. 15c: stable interval sweep over `runner`.
-pub fn run_c_with(opts: &RunOpts, runner: &SweepRunner) -> Table {
-    run_panel(
-        opts,
-        runner,
-        "fig15c",
-        "stable interval vs oracle",
-        &points_c(),
-    )
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! (DMA bloat) and the `[9:10]` bump (directory contention, observation
 //! O1).
 
-use crate::runner::{SweepRunner, TypedAxis};
+use crate::runner::TypedAxis;
 use crate::spec::{RunOpts, ScenarioRun, ScenarioSpec, WorkloadSpec};
 use crate::table::Table;
 use a4_model::{Priority, WayMask};
@@ -107,20 +107,6 @@ pub fn run_point(opts: &RunOpts, touch: bool, xmem_mask: WayMask) -> (f64, f64, 
         run.mem_read_gbps(),
         run.mem_write_gbps(),
     )
-}
-
-/// Runs the full sweep serially. `touch = false` reproduces Fig. 3a
-/// (DPDK-NT), `touch = true` Fig. 3b (DPDK-T).
-pub fn run(opts: &RunOpts, touch: bool) -> Table {
-    run_with(opts, touch, &SweepRunner::serial())
-}
-
-/// Runs the full sweep, fanning cells out over `runner`.
-pub fn run_with(opts: &RunOpts, touch: bool, runner: &SweepRunner) -> Table {
-    let runs = runner
-        .run_specs(&specs(opts, touch))
-        .expect("static fig3 layout");
-    table(touch, &runs)
 }
 
 #[cfg(test)]

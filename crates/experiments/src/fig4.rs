@@ -6,7 +6,7 @@
 //! `[0:1]`, `[3:4]`, `[5:6]`, `[9:10]`), once with DCA on and once with
 //! DCA globally off, plus an X-Mem solo reference.
 
-use crate::runner::{SweepRunner, TypedAxis, TypedSweep2};
+use crate::runner::{TypedAxis, TypedSweep2};
 use crate::spec::{RunOpts, ScenarioRun, ScenarioSpec, WorkloadSpec};
 use crate::table::Table;
 use a4_model::{Priority, WayMask};
@@ -100,12 +100,16 @@ pub fn table(runs: &[ScenarioRun]) -> Table {
     );
     let solo = &runs[0];
     table.push("solo [9:10]", [0.0, solo.llc_miss_rate("xmem")]);
-    for (cell, run) in grid().sweep().cells().iter().zip(&runs[1..]) {
+    let grid = grid();
+    let labels = grid.a.labels.iter().flat_map(|dca| {
+        grid.b
+            .labels
+            .iter()
+            .map(move |mask| format!("dca={dca} {mask}"))
+    });
+    for (label, run) in labels.zip(&runs[1..]) {
         let (p99, miss) = point_metrics(run, true);
-        table.push(
-            format!("dca={} {}", cell.labels[0], cell.labels[1]),
-            [p99, miss],
-        );
+        table.push(label, [p99, miss]);
     }
     table
 }
@@ -127,17 +131,6 @@ fn point_metrics(run: &ScenarioRun, with_xmem: bool) -> (f64, f64) {
         0.0
     };
     (p99_us, miss)
-}
-
-/// Runs the full figure serially.
-pub fn run(opts: &RunOpts) -> Table {
-    run_with(opts, &SweepRunner::serial())
-}
-
-/// Runs the full figure, fanning cells out over `runner`.
-pub fn run_with(opts: &RunOpts, runner: &SweepRunner) -> Table {
-    let runs = runner.run_specs(&specs(opts)).expect("static fig4 layout");
-    table(&runs)
 }
 
 #[cfg(test)]

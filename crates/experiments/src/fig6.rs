@@ -6,7 +6,7 @@
 //! Setup (§3.2): DPDK-T at ways `[4:5]` + FIO at ways `[2:3]`, block
 //! size swept, DCA on vs off; plus DPDK-T solo references.
 
-use crate::runner::{SweepRunner, TypedAxis, TypedSweep2};
+use crate::runner::{TypedAxis, TypedSweep2};
 use crate::spec::{RunOpts, ScenarioRun, ScenarioSpec, WorkloadSpec};
 use crate::table::Table;
 use a4_model::{Priority, WayMask};
@@ -122,17 +122,6 @@ pub fn run_point(opts: &RunOpts, block_kib: Option<u64>, dca_on: bool) -> (f64, 
         .expect("static fig6 layout")
         .run();
     point_metrics(&run, block_kib.is_some())
-}
-
-/// Runs the full figure (6a sweep plus 6b solo rows) serially.
-pub fn run(opts: &RunOpts) -> Table {
-    run_with(opts, &SweepRunner::serial())
-}
-
-/// Runs the full figure, fanning cells out over `runner`.
-pub fn run_with(opts: &RunOpts, runner: &SweepRunner) -> Table {
-    let runs = runner.run_specs(&specs(opts)).expect("static fig6 layout");
-    table(&runs)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! * `n-Exclude` — `n` ways ending at way 8 (`[9-n:8]`),
 //! * `n-Overlap` — `n` ways ending at way 10 (`[11-n:10]`).
 
-use crate::runner::{SweepRunner, TypedAxis};
+use crate::runner::TypedAxis;
 use crate::spec::{RunOpts, ScenarioRun, ScenarioSpec, WorkloadSpec};
 use crate::table::Table;
 use a4_model::{Priority, WayMask};
@@ -131,17 +131,6 @@ pub fn run_point(opts: &RunOpts, strategy: Strategy) -> (f64, f64, f64, f64) {
         .expect("static fig7 layout")
         .run();
     point_metrics(&run)
-}
-
-/// Runs the full figure serially.
-pub fn run(opts: &RunOpts) -> Table {
-    run_with(opts, &SweepRunner::serial())
-}
-
-/// Runs the full figure, fanning cells out over `runner`.
-pub fn run_with(opts: &RunOpts, runner: &SweepRunner) -> Table {
-    let runs = runner.run_specs(&specs(opts)).expect("static fig7 layout");
-    table(&runs)
 }
 
 #[cfg(test)]

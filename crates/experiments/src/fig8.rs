@@ -7,7 +7,7 @@
 //!   co-running X-Mem's miss rate with flat storage throughput
 //!   (observation O5, the basis of pseudo LLC bypassing).
 
-use crate::runner::{SweepRunner, TypedAxis, TypedSweep2};
+use crate::runner::{TypedAxis, TypedSweep2};
 use crate::spec::{RunOpts, ScenarioRun, ScenarioSpec, WorkloadSpec};
 use crate::table::Table;
 use a4_model::{Priority, WayMask};
@@ -159,11 +159,6 @@ pub fn run_point_8b(opts: &RunOpts, fio_last_way: usize) -> (f64, f64) {
     (run.llc_miss_rate("xmem"), run.io_gbps("fio"))
 }
 
-/// Runs Fig. 8a serially.
-pub fn run_a(opts: &RunOpts) -> Table {
-    run_a_with(opts, &SweepRunner::serial())
-}
-
 /// Renders Fig. 8a from the runs of [`specs_a`] (same order).
 pub fn table_a(runs: &[ScenarioRun]) -> Table {
     let grid = grid_a();
@@ -201,27 +196,6 @@ pub fn table_b(runs: &[ScenarioRun]) -> Table {
         );
     }
     table
-}
-
-/// Runs Fig. 8a, fanning cells out over `runner`.
-pub fn run_a_with(opts: &RunOpts, runner: &SweepRunner) -> Table {
-    let runs = runner
-        .run_specs(&specs_a(opts))
-        .expect("static fig8a layout");
-    table_a(&runs)
-}
-
-/// Runs Fig. 8b serially.
-pub fn run_b(opts: &RunOpts) -> Table {
-    run_b_with(opts, &SweepRunner::serial())
-}
-
-/// Runs Fig. 8b, fanning cells out over `runner`.
-pub fn run_b_with(opts: &RunOpts, runner: &SweepRunner) -> Table {
-    let runs = runner
-        .run_specs(&specs_b(opts))
-        .expect("static fig8b layout");
-    table_b(&runs)
 }
 
 #[cfg(test)]

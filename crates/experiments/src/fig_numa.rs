@@ -29,7 +29,7 @@
 //! paper has no such figure; it exists because the simulator's link
 //! model makes the saturation cliff measurable.
 
-use crate::runner::{SweepRunner, TypedAxis, TypedSweep2};
+use crate::runner::{TypedAxis, TypedSweep2};
 use crate::spec::{RunOpts, ScenarioRun, ScenarioSpec, Scheme, SystemTweaks, WorkloadSpec};
 use crate::table::Table;
 use a4_model::Priority;
@@ -125,28 +125,14 @@ pub fn mix_spec(opts: &RunOpts, scheme: Scheme, placement: Placement) -> Scenari
 }
 
 /// All cells of the figure, generated from the typed grid (placement
-/// major, scheme minor — the same order `grid().sweep().cells()`
-/// enumerates).
+/// major, scheme minor).
 pub fn specs(opts: &RunOpts) -> Vec<ScenarioSpec> {
     grid().map(|&placement, &scheme| mix_spec(opts, scheme, placement))
 }
 
-/// Runs the full figure serially.
-pub fn run(opts: &RunOpts) -> Table {
-    run_with(opts, &SweepRunner::serial())
-}
-
-/// Runs the full figure, fanning cells out over `runner`: per placement,
-/// per scheme, DPDK-T p99 latency (µs) and rx throughput (GB/s), FIO
-/// mean block latency (µs) and I/O throughput (GB/s).
-pub fn run_with(opts: &RunOpts, runner: &SweepRunner) -> Table {
-    let runs = runner
-        .run_specs(&specs(opts))
-        .expect("static fig_numa grid");
-    table(&runs)
-}
-
-/// Renders the figure from the runs of [`specs`] (same order).
+/// Renders the figure from the runs of [`specs`] (same order): per
+/// placement, per scheme, DPDK-T p99 latency (µs) and rx throughput
+/// (GB/s), FIO mean block latency (µs) and I/O throughput (GB/s).
 pub fn table(runs: &[ScenarioRun]) -> Table {
     let grid = grid();
     let mut columns = Vec::new();
@@ -265,13 +251,18 @@ mod tests {
     fn specs_follow_the_typed_grid_order() {
         let opts = RunOpts::quick();
         let specs = specs(&opts);
-        let cells = grid().sweep().cells();
-        assert_eq!(specs.len(), cells.len());
-        for (spec, cell) in specs.iter().zip(&cells) {
+        let grid = grid();
+        assert_eq!(specs.len(), grid.len());
+        let labels = grid.a.labels.iter().flat_map(|placement| {
+            grid.b
+                .labels
+                .iter()
+                .map(move |scheme| format!("fig_numa {placement} {scheme}"))
+        });
+        for (spec, label) in specs.iter().zip(labels) {
             assert_eq!(
-                spec.name,
-                format!("fig_numa {} {}", cell.labels[0], cell.labels[1]),
-                "spec order must match the label grid's cell order"
+                spec.name, label,
+                "spec order must match the grid's label order"
             );
             assert_eq!(spec.system.sockets, Some(2));
             spec.validate().expect("static fig_numa cells are valid");

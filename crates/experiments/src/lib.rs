@@ -5,20 +5,21 @@
 //! CAT/DCA knobs, scheme, run protocol) as serializable data and builds
 //! a ready harness with `ScenarioSpec::build()`; sweeps fan their cells
 //! out over threads with a [`runner::SweepRunner`] and collect
-//! deterministically. One module per figure; each exposes `specs(opts)`
-//! (the grid as data), a pure `table(runs)`/`tables(runs)` renderer,
-//! `run(opts)` (serial) and `run_with(opts, runner)` (parallel)
-//! returning [`Table`]s whose rows/series correspond to what the paper
-//! plots. The [`service`] module ties the two halves together: a
-//! [`service::SweepJob`] describes a figure sweep as serializable data
-//! that any process can execute in [`service::Shard`]s against the
-//! shared content-addressed store ([`cache::ResultCache`]), with a
-//! filesystem work [`queue`] handing shards to workers; rendering is a
-//! pure function of the store, so sharded and unsharded runs merge to
+//! deterministically, every cell through the one supervised path
+//! [`runner::SweepRunner::run_specs_robust`]. One module per figure;
+//! each exposes `specs(opts)` (the grid as data) and a pure
+//! `table(runs)`/`tables(runs)` renderer producing [`Table`]s whose
+//! rows/series correspond to what the paper plots. Figures run as
+//! [`service::SweepJob`]s: the [`service`] module ties the two halves
+//! together — a job describes a figure sweep as serializable data that
+//! any process can execute in [`service::Shard`]s against the shared
+//! content-addressed store ([`cache::ResultCache`]), with a filesystem
+//! work [`queue`] handing shards to workers; rendering is a pure
+//! function of the store, so sharded and unsharded runs merge to
 //! byte-identical tables. The `a4-repro` binary is one client of that
 //! service (and dumps/loads the specs as JSON); `a4-bench` wraps the
-//! figures in Criterion targets; the
-//! integration tests assert the *shapes* (who wins, where the bumps are)
+//! figures in Criterion targets; the integration tests assert the
+//! *shapes* (who wins, where the bumps are)
 //! rather than absolute numbers — see EXPERIMENTS.md.
 //!
 //! | module | paper figure | what it shows |
@@ -63,9 +64,7 @@ mod table;
 pub use cache::{spec_key, ResultCache};
 pub use fault::{Backoff, FabricHealth, FaultFs, FaultPlan, Fs, RealFs};
 pub use queue::{Enqueued, JobQueue, QueueError, Task, TaskState, MIN_STALE_AGE};
-pub use runner::{
-    CellFailure, FailureKind, Sweep, SweepOutcome, SweepRunner, TypedAxis, TypedSweep2,
-};
+pub use runner::{CellFailure, FailureKind, SweepOutcome, SweepRunner, TypedAxis, TypedSweep2};
 pub use service::{
     drain_queue, fabric_health, figures, DrainReport, FigureDef, JobTables, Protocol, SeedPolicy,
     Shard, SweepJob, MAX_ATTEMPTS, MAX_HEARTBEAT_FAILURES,

@@ -1,14 +1,22 @@
 //! The sweep engine: cartesian grids of experiment cells executed in
 //! parallel with deterministic collection.
 //!
-//! [`Sweep`] describes a grid of named axes (`Sweep::over(axis,
-//! values)`, chained with [`Sweep::and`]); its [`Sweep::cells`] are the
-//! cartesian product in row-major order (first axis slowest). A
-//! [`SweepRunner`] maps cells — usually [`ScenarioSpec`]s — across a
-//! pool of scoped threads and collects results *by cell index*, so the
-//! output is byte-identical regardless of thread count: every cell owns
-//! its own [`crate::spec::Scenario`] (own RNG seeded from its spec), and
-//! no simulation state is shared between threads.
+//! A [`TypedSweep2`] describes a two-axis grid of typed values with
+//! display labels ([`TypedAxis`]); [`TypedSweep2::map`] visits the
+//! cartesian product in row-major order (first axis slowest), which is
+//! how figures generate their `specs()`. A [`SweepRunner`] executes
+//! [`ScenarioSpec`]s across a pool of scoped threads and collects
+//! results *by cell index*, so the output is byte-identical regardless
+//! of thread count: every cell owns its own [`crate::spec::Scenario`]
+//! (own RNG seeded from its spec), and no simulation state is shared
+//! between threads.
+//!
+//! [`SweepRunner::run_specs_robust`] is the only way a cell executes:
+//! cache lookup, checkpoint resume, the quantum-budget watchdog and
+//! periodic checkpoints all live on that one supervised path, and a
+//! failing cell becomes a [`CellFailure`] instead of tearing down the
+//! sweep. Callers that need every cell write
+//! `run_specs_robust(..).into_runs()`.
 
 use crate::cache::{spec_key, ResultCache};
 use crate::spec::{Scenario, ScenarioRun, ScenarioSpec, SpecError};
@@ -33,91 +41,6 @@ pub fn derive_seed(base: u64, cell: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// One named sweep axis with display labels for its values.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Axis {
-    /// Axis name ("block_kib", "scheme", ...).
-    pub name: String,
-    /// Value labels, in sweep order.
-    pub values: Vec<String>,
-}
-
-/// A cartesian grid of named axes.
-///
-/// # Examples
-///
-/// ```
-/// use a4_experiments::runner::Sweep;
-///
-/// let sweep = Sweep::over("block", [4, 64, 2048]).and("scheme", ["DF", "A4"]);
-/// let cells = sweep.cells();
-/// assert_eq!(cells.len(), 6);
-/// // Row-major: the first axis varies slowest.
-/// assert_eq!(cells[1].labels, vec!["4", "A4"]);
-/// assert_eq!(cells[5].coords, vec![2, 1]);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Sweep {
-    /// The axes, first = slowest-varying.
-    pub axes: Vec<Axis>,
-}
-
-impl Sweep {
-    /// Starts a grid with one axis.
-    pub fn over<V: ToString>(name: impl Into<String>, values: impl IntoIterator<Item = V>) -> Self {
-        Sweep::default().and(name, values)
-    }
-
-    /// Adds a (faster-varying) axis.
-    pub fn and<V: ToString>(
-        mut self,
-        name: impl Into<String>,
-        values: impl IntoIterator<Item = V>,
-    ) -> Self {
-        self.axes.push(Axis {
-            name: name.into(),
-            values: values.into_iter().map(|v| v.to_string()).collect(),
-        });
-        self
-    }
-
-    /// Number of cells (product of axis lengths).
-    pub fn len(&self) -> usize {
-        self.axes.iter().map(|a| a.values.len()).product()
-    }
-
-    /// Whether the grid has no cells.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// All cells in row-major order (first axis slowest).
-    pub fn cells(&self) -> Vec<Cell> {
-        let n = self.len();
-        let mut cells = Vec::with_capacity(n);
-        for index in 0..n {
-            let mut coords = vec![0usize; self.axes.len()];
-            let mut rem = index;
-            for (ai, axis) in self.axes.iter().enumerate().rev() {
-                coords[ai] = rem % axis.values.len();
-                rem /= axis.values.len();
-            }
-            let labels = self
-                .axes
-                .iter()
-                .zip(&coords)
-                .map(|(a, &c)| a.values[c].clone())
-                .collect();
-            cells.push(Cell {
-                index,
-                coords,
-                labels,
-            });
-        }
-        cells
-    }
 }
 
 /// One named sweep axis carrying *typed* values alongside their display
@@ -158,8 +81,7 @@ impl<T> TypedAxis<T> {
         }
     }
 
-    /// An axis whose labels are the values' `ToString` forms — exactly
-    /// what the label-only [`Sweep::over`] would have produced.
+    /// An axis whose labels are the values' `ToString` forms.
     pub fn labeled(name: impl Into<String>, values: impl IntoIterator<Item = T>) -> Self
     where
         T: ToString,
@@ -182,19 +104,11 @@ impl<T> TypedAxis<T> {
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
-
-    fn label_axis(&self) -> Axis {
-        Axis {
-            name: self.name.clone(),
-            values: self.labels.clone(),
-        }
-    }
 }
 
-/// A two-axis cartesian grid over typed values: the typed counterpart of
-/// a two-axis [`Sweep`], guaranteeing cell order (first axis slowest)
-/// matches [`Sweep::cells`] exactly while letting `specs()` be generated
-/// from the values themselves.
+/// A two-axis cartesian grid over typed values: cells enumerate in
+/// row-major order (first axis slowest), and `specs()` are generated
+/// from the values themselves while tables read the axes' labels.
 ///
 /// # Examples
 ///
@@ -207,7 +121,8 @@ impl<T> TypedAxis<T> {
 /// );
 /// let cells: Vec<String> = grid.map(|&b, &s| format!("{b}-{s}"));
 /// assert_eq!(cells, ["4-true", "4-false", "64-true", "64-false"]);
-/// assert_eq!(grid.sweep().cells()[1].labels, vec!["4", "off"]);
+/// assert_eq!(grid.len(), 4);
+/// assert_eq!(grid.b.labels, ["on", "off"]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TypedSweep2<A, B> {
@@ -233,15 +148,6 @@ impl<A, B> TypedSweep2<A, B> {
         self.len() == 0
     }
 
-    /// The label-grid [`Sweep`] this typed grid projects to; its
-    /// [`Sweep::cells`] enumerate in exactly the order [`TypedSweep2::map`]
-    /// visits value pairs.
-    pub fn sweep(&self) -> Sweep {
-        Sweep {
-            axes: vec![self.a.label_axis(), self.b.label_axis()],
-        }
-    }
-
     /// Maps `f` over all value pairs in row-major cell order (`a`
     /// slowest) — generate a figure's `specs()` with this.
     pub fn map<R>(&self, mut f: impl FnMut(&A, &B) -> R) -> Vec<R> {
@@ -252,24 +158,6 @@ impl<A, B> TypedSweep2<A, B> {
             }
         }
         out
-    }
-}
-
-/// One point of a [`Sweep`] grid.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Cell {
-    /// Flat row-major index.
-    pub index: usize,
-    /// Per-axis value indices.
-    pub coords: Vec<usize>,
-    /// Per-axis value labels.
-    pub labels: Vec<String>,
-}
-
-impl Cell {
-    /// The value index along axis `axis`.
-    pub fn coord(&self, axis: usize) -> usize {
-        self.coords[axis]
     }
 }
 
@@ -374,7 +262,6 @@ fn panic_reason(payload: &(dyn Any + Send)) -> String {
 #[derive(Debug, Clone)]
 pub struct SweepRunner {
     threads: usize,
-    derive_seeds: bool,
     replica: Option<u64>,
     cache: Option<ResultCache>,
     ckpt: Option<CkptStore>,
@@ -401,7 +288,6 @@ impl SweepRunner {
     pub fn with_threads(threads: usize) -> Self {
         SweepRunner {
             threads: threads.max(1),
-            derive_seeds: false,
             replica: None,
             cache: None,
             ckpt: None,
@@ -415,21 +301,11 @@ impl SweepRunner {
         self.threads
     }
 
-    /// Enables per-cell seed derivation: cell `i` runs with
-    /// [`derive_seed`]`(spec_seed, i)` instead of the spec's seed.
-    /// Default off — the paper's protocol runs every cell from the same
-    /// seed.
-    pub fn derive_seeds(mut self, on: bool) -> Self {
-        self.derive_seeds = on;
-        self
-    }
-
     /// Selects replica `r` of a replicated sweep: cell `i` runs with the
     /// doubly-derived seed [`derive_seed`]`(`[`derive_seed`]`(spec_seed,
     /// r), i)` — decorrelated across both replicas and cells, and a pure
     /// function of `(spec, r, i)`, so every `(cell, replica)` pair keys
     /// the result cache independently and warm re-runs stay warm.
-    /// Overrides [`SweepRunner::derive_seeds`].
     pub fn replica(mut self, r: u64) -> Self {
         self.replica = Some(r);
         self
@@ -523,78 +399,12 @@ impl SweepRunner {
             .collect()
     }
 
-    /// Maps `f` over `items` in parallel; `results[i] == f(i,
-    /// &items[i])` regardless of thread count.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first (by item index) panic from `f` with its
-    /// original payload, after every non-panicking item has completed.
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let mut out = Vec::with_capacity(items.len());
-        let mut caught = None;
-        for r in self.map_caught(items, f) {
-            match r {
-                Ok(v) => out.push(v),
-                Err(payload) => {
-                    caught.get_or_insert(payload);
-                }
-            }
-        }
-        if let Some(payload) = caught {
-            std::panic::resume_unwind(payload);
-        }
-        out
-    }
-
-    /// Builds and runs every spec, in parallel, returning the runs in
-    /// spec order. With a cache attached ([`SweepRunner::with_cache_dir`])
-    /// cells present in the cache are loaded instead of simulated.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (by cell index) build failure.
-    pub fn run_specs(&self, specs: &[ScenarioSpec]) -> Result<Vec<ScenarioRun>, SpecError> {
-        let runs = self.map(specs, |i, spec| {
-            let spec = if let Some(r) = self.replica {
-                spec.clone()
-                    .with_seed(derive_seed(derive_seed(spec.opts.seed, r), i as u64))
-            } else if self.derive_seeds {
-                spec.clone()
-                    .with_seed(derive_seed(spec.opts.seed, i as u64))
-            } else {
-                spec.clone()
-            };
-            if let Some(cache) = &self.cache {
-                let key = spec_key(&spec);
-                if let Some(report) = cache.load(&key) {
-                    return Ok(spec.run_from_report(report));
-                }
-                return spec.build().map(|scenario| {
-                    let run = scenario.run();
-                    cache.store(&key, &run.report);
-                    run
-                });
-            }
-            spec.build().map(crate::spec::Scenario::run)
-        });
-        runs.into_iter().collect()
-    }
-
-    /// The effective spec of cell `i` after seed derivation — the same
-    /// transformation [`SweepRunner::run_specs`] applies.
+    /// The effective spec of cell `i` after replica seed derivation —
+    /// the spec the cell runs and the key it is cached under.
     fn effective_spec(&self, i: usize, spec: &ScenarioSpec) -> ScenarioSpec {
         if let Some(r) = self.replica {
             spec.clone()
                 .with_seed(derive_seed(derive_seed(spec.opts.seed, r), i as u64))
-        } else if self.derive_seeds {
-            spec.clone()
-                .with_seed(derive_seed(spec.opts.seed, i as u64))
         } else {
             spec.clone()
         }
@@ -688,10 +498,12 @@ impl SweepRunner {
         }
     }
 
-    /// The fault-tolerant variant of [`SweepRunner::run_specs`]: a cell
-    /// that panics, fails to build, or trips the quantum-budget
-    /// watchdog becomes a recorded [`CellFailure`] while every other
-    /// cell still completes. With a checkpoint store attached
+    /// Builds and runs every spec, in parallel, returning the runs in
+    /// spec order. Cells present in the result cache
+    /// ([`SweepRunner::with_cache_dir`]) are loaded instead of
+    /// simulated. A cell that panics, fails to build, or trips the
+    /// quantum-budget watchdog becomes a recorded [`CellFailure`] while
+    /// every other cell still completes. With a checkpoint store attached
     /// ([`SweepRunner::with_ckpt`]) cells additionally snapshot their
     /// state every `every` quanta and resume from the latest valid
     /// checkpoint on re-execution.
@@ -727,38 +539,44 @@ mod tests {
 
     #[test]
     fn cartesian_cells_are_row_major() {
-        let sweep = Sweep::over("a", ["x", "y"]).and("b", [1, 2, 3]);
-        assert_eq!(sweep.len(), 6);
-        assert!(!sweep.is_empty());
-        let cells = sweep.cells();
-        assert_eq!(cells[0].labels, vec!["x", "1"]);
-        assert_eq!(cells[2].labels, vec!["x", "3"]);
-        assert_eq!(cells[3].labels, vec!["y", "1"]);
-        assert_eq!(cells[5].coords, vec![1, 2]);
-        assert_eq!(cells[4].coord(1), 1);
+        let grid = TypedSweep2::new(
+            TypedAxis::labeled("a", ["x", "y"]),
+            TypedAxis::labeled("b", [1, 2, 3]),
+        );
+        assert_eq!(grid.len(), 6);
+        assert!(!grid.is_empty());
+        let cells = grid.map(|a, b| format!("{a}{b}"));
+        assert_eq!(cells, ["x1", "x2", "x3", "y1", "y2", "y3"]);
     }
 
     #[test]
     fn typed_grids_enumerate_in_label_grid_order() {
-        // The satellite guarantee: a typed grid and the label-only Sweep
-        // built from the same axes produce identical cell orders.
+        // Tables label rows from the axes' labels, slow axis outermost:
+        // that walk must visit cells in exactly the order `map` does.
         let typed = TypedSweep2::new(
             TypedAxis::labeled("a", ["x", "y"]),
             TypedAxis::labeled("b", [1, 2, 3]),
         );
-        let label_sweep = Sweep::over("a", ["x", "y"]).and("b", [1, 2, 3]);
-        assert_eq!(typed.sweep(), label_sweep);
-        assert_eq!(typed.len(), label_sweep.len());
         let typed_cells: Vec<Vec<String>> = typed.map(|a, b| vec![a.to_string(), b.to_string()]);
-        let label_cells: Vec<Vec<String>> =
-            label_sweep.cells().into_iter().map(|c| c.labels).collect();
+        let label_cells: Vec<Vec<String>> = typed
+            .a
+            .labels
+            .iter()
+            .flat_map(|a| {
+                typed
+                    .b
+                    .labels
+                    .iter()
+                    .map(move |b| vec![a.clone(), b.clone()])
+            })
+            .collect();
         assert_eq!(typed_cells, label_cells);
         // Custom labels decouple display from value without reordering.
         let custom = TypedSweep2::new(
             TypedAxis::new("a", [(10u64, "ten"), (20, "twenty")]),
             TypedAxis::labeled("b", [true, false]),
         );
-        assert_eq!(custom.sweep().axes[0].values, vec!["ten", "twenty"]);
+        assert_eq!(custom.a.labels, vec!["ten", "twenty"]);
         assert_eq!(
             custom.map(|&a, &b| (a, b)),
             vec![(10, true), (10, false), (20, true), (20, false)]
@@ -771,9 +589,17 @@ mod tests {
     fn map_is_order_preserving_for_any_thread_count() {
         let items: Vec<u64> = (0..37).collect();
         let square = |_: usize, x: &u64| x * x;
-        let serial = SweepRunner::serial().map(&items, square);
+        let collect = |runner: SweepRunner| -> Vec<u64> {
+            runner
+                .map_caught(&items, square)
+                .into_iter()
+                .map(|r| r.unwrap_or_else(|_| panic!("no item panics")))
+                .collect()
+        };
+        let serial = collect(SweepRunner::serial());
+        assert_eq!(serial, items.iter().map(|x| x * x).collect::<Vec<_>>());
         for threads in [2, 4, 16, 64] {
-            let parallel = SweepRunner::with_threads(threads).map(&items, square);
+            let parallel = collect(SweepRunner::with_threads(threads));
             assert_eq!(parallel, serial, "threads={threads}");
         }
     }
@@ -804,7 +630,11 @@ mod tests {
         );
         let specs = [spec];
         let ipc = |r: u64| {
-            let runs = SweepRunner::serial().replica(r).run_specs(&specs).unwrap();
+            let runs = SweepRunner::serial()
+                .replica(r)
+                .run_specs_robust(&specs)
+                .into_runs()
+                .unwrap();
             runs[0].ipc("xmem3").to_bits()
         };
         // Distinct replicas simulate distinct runs; the same replica is
@@ -855,32 +685,23 @@ mod tests {
     }
 
     #[test]
-    fn map_propagates_the_first_panic_by_index() {
-        let items: Vec<u64> = (0..8).collect();
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            SweepRunner::with_threads(4).map(&items, |i, &x| {
-                if i >= 6 {
-                    panic!("boom at {i}");
-                }
-                x
-            });
-        }))
-        .expect_err("map re-panics");
-        assert_eq!(panic_reason(caught.as_ref()), "boom at 6");
-    }
-
-    #[test]
     fn robust_sweep_matches_plain_path() {
-        // Supervision must be transparent: a clean robust sweep yields
-        // bit-identical reports to run_specs, serial or parallel.
+        // A clean sweep yields bit-identical reports serial or
+        // parallel; the committed golden tables pin the bytes themselves.
         let specs: Vec<_> = (1..=3).map(|i| xmem_spec(i, "clean")).collect();
         let outcome = SweepRunner::with_threads(2).run_specs_robust(&specs);
         assert!(outcome.is_clean(), "{:?}", outcome.failures);
         assert_eq!(outcome.runs.iter().flatten().count(), 3);
         let runs = outcome.into_runs().unwrap();
-        let plain = SweepRunner::serial().run_specs(&specs).unwrap();
-        for (r, p) in runs.iter().zip(&plain) {
-            assert_eq!(r.ipc("xmem").to_bits(), p.ipc("xmem").to_bits());
+        let serial = SweepRunner::serial()
+            .run_specs_robust(&specs)
+            .into_runs()
+            .unwrap();
+        for (r, s) in runs.iter().zip(&serial) {
+            assert_eq!(
+                serde_json::to_string(&r.report).unwrap(),
+                serde_json::to_string(&s.report).unwrap()
+            );
         }
     }
 
@@ -914,7 +735,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("a4-runner-ckpt-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let specs = vec![xmem_spec(2, "resume")];
-        let reference = SweepRunner::serial().run_specs(&specs).unwrap();
+        let reference = SweepRunner::serial()
+            .run_specs_robust(&specs)
+            .into_runs()
+            .unwrap();
 
         // Run under an aggressive checkpoint cadence, then abort the
         // cell mid-run via a watchdog budget that admits the first
@@ -970,8 +794,14 @@ mod tests {
                 )
             })
             .collect();
-        let serial = SweepRunner::serial().run_specs(&specs).unwrap();
-        let parallel = SweepRunner::with_threads(4).run_specs(&specs).unwrap();
+        let serial = SweepRunner::serial()
+            .run_specs_robust(&specs)
+            .into_runs()
+            .unwrap();
+        let parallel = SweepRunner::with_threads(4)
+            .run_specs_robust(&specs)
+            .into_runs()
+            .unwrap();
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.perf("dpdk"), p.perf("dpdk"));
             assert_eq!(

@@ -20,7 +20,7 @@ use crate::cache::{spec_key, ResultCache};
 use crate::fault::{Backoff, FabricHealth};
 use crate::queue::{JobQueue, QueueError};
 use crate::runner::{derive_seed, CellFailure, SweepRunner};
-use crate::spec::{RunOpts, ScenarioRun, ScenarioSpec, SpecError};
+use crate::spec::{RunOpts, ScenarioRun, ScenarioSpec};
 use crate::table::{Table, TableStats};
 use crate::{fig11, fig12, fig13, fig14, fig15, fig3, fig4, fig5, fig6, fig7, fig8, fig_numa};
 use serde::{Deserialize, Serialize};
@@ -185,7 +185,7 @@ pub fn figures() -> Vec<FigureDef> {
                 s
             },
             render: |runs| {
-                let n = fig_numa::grid().sweep().cells().len();
+                let n = fig_numa::grid().len();
                 vec![
                     fig_numa::table(&runs[..n]),
                     fig_numa::ramp_table(&runs[n..]),
@@ -208,8 +208,7 @@ pub enum SeedPolicy {
     /// Every cell runs with its spec's own seed — the paper protocol
     /// and the historical CLI default.
     SpecSeed,
-    /// Cell `i` runs with [`derive_seed`]`(spec_seed, i)`, matching
-    /// [`SweepRunner::derive_seeds`].
+    /// Cell `i` runs with [`derive_seed`]`(spec_seed, i)`.
     PerCell,
 }
 
@@ -318,8 +317,6 @@ pub enum ServiceError {
     UnknownFigure(String),
     /// The operation needs a shared store but the runner has no cache.
     NoStore,
-    /// A cell failed to build or validate.
-    Spec(SpecError),
     /// Rendering from the store found unexecuted cells (a partial
     /// sweep): `missing` lists their spec names (truncated).
     MissingCells {
@@ -341,15 +338,16 @@ pub enum ServiceError {
         /// Units the shard owns.
         total: usize,
     },
-    /// Some cells of a shard failed (panic, build error, watchdog
-    /// abort) while the rest completed into the store — the shard is
-    /// partial, not lost.
+    /// Some cells failed (panic, build error, watchdog abort) while
+    /// the rest completed (into the store, when there is one) — the
+    /// sweep is partial, not lost.
     CellsFailed {
-        /// The figure whose shard degraded.
+        /// The figure (or spec file) whose sweep degraded.
         figure: String,
-        /// The recorded failures, by shard-local unit index.
+        /// The recorded failures, by unit index within the executed
+        /// slice (the shard, or the whole job).
         failures: Vec<CellFailure>,
-        /// Units the shard owns.
+        /// Units the slice holds.
         total: usize,
     },
 }
@@ -361,7 +359,6 @@ impl fmt::Display for ServiceError {
             ServiceError::NoStore => {
                 write!(f, "sharded execution needs a shared store (a cache dir)")
             }
-            ServiceError::Spec(e) => write!(f, "{e}"),
             ServiceError::MissingCells {
                 figure,
                 total,
@@ -411,12 +408,6 @@ impl std::error::Error for ServiceError {
             ServiceError::Queue(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<SpecError> for ServiceError {
-    fn from(e: SpecError) -> Self {
-        ServiceError::Spec(e)
     }
 }
 
@@ -516,13 +507,13 @@ impl SweepJob {
     /// how many units it owns. Units already in the store are loaded,
     /// not re-simulated, so re-executing a shard (a restarted worker, a
     /// re-claimed lease) is idempotent. The runner must be *plain* — no
-    /// [`SweepRunner::replica`]/[`SweepRunner::derive_seeds`] — because
-    /// unit specs already carry their effective seeds.
+    /// [`SweepRunner::replica`] — because unit specs already carry their
+    /// effective seeds.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::NoStore`] without a cache dir; build failures as
-    /// [`ServiceError::Spec`].
+    /// [`ServiceError::NoStore`] without a cache dir; failed cells as
+    /// [`ServiceError::CellsFailed`].
     pub fn execute_shard(&self, shard: Shard, runner: &SweepRunner) -> Result<usize, ServiceError> {
         self.execute_shard_with(shard, runner, |_, _| ControlFlow::Continue(()))
     }
@@ -561,27 +552,13 @@ impl SweepJob {
         let mut done = 0;
         let mut failures: Vec<CellFailure> = Vec::new();
         for batch in specs.chunks(runner.threads().max(1)) {
-            let outcome = runner.run_specs_robust(batch);
-            // Failure indices are batch-relative; rebase onto the
-            // shard-local unit index before accumulating.
-            failures.extend(outcome.failures.into_iter().map(|mut f| {
-                f.index += done;
-                f
-            }));
+            run_rebased(runner, batch, done, &mut failures);
             done += batch.len();
             if progress(done, total).is_break() {
                 return Err(ServiceError::Aborted { done, total });
             }
         }
-        if failures.is_empty() {
-            Ok(total)
-        } else {
-            Err(ServiceError::CellsFailed {
-                figure: self.figure.clone(),
-                failures,
-                total,
-            })
-        }
+        cells_failed(&self.figure, failures, total).map(|()| total)
     }
 
     /// Loads every unit's report from the store and rebuilds the runs,
@@ -734,24 +711,69 @@ impl SweepJob {
 
     /// Executes the whole job on `runner` (store-backed cells load
     /// instead of simulating) and renders its tables — the direct,
-    /// single-process path. The runner must be plain (see
-    /// [`SweepJob::execute_shard`]).
+    /// single-process path. Cells run through the runner's supervised
+    /// path, so its checkpoint cadence and watchdog budget apply here
+    /// exactly as in [`SweepJob::execute_shard`]. The runner must be
+    /// plain (see [`SweepJob::execute_shard`]).
     ///
     /// # Errors
     ///
-    /// Build failures as [`ServiceError::Spec`].
+    /// [`ServiceError::CellsFailed`] (with job-global unit indices) if
+    /// any cell fails; the other cells still complete into the store.
     pub fn execute(&self, runner: &SweepRunner) -> Result<JobTables, ServiceError> {
         let units = self.units()?;
-        let cells = units.len() / self.replicas as usize;
-        let mut per_replica = Vec::with_capacity(self.replicas as usize);
-        for r in 0..self.replicas as usize {
-            let specs: Vec<ScenarioSpec> = units[r * cells..(r + 1) * cells]
-                .iter()
-                .map(|u| u.spec.clone())
-                .collect();
-            per_replica.push(runner.run_specs(&specs)?);
-        }
+        let total = units.len();
+        let cells = total / self.replicas as usize;
+        let specs: Vec<ScenarioSpec> = units.into_iter().map(|u| u.spec).collect();
+        let mut failures = Vec::new();
+        let per_replica: Vec<Vec<Option<ScenarioRun>>> = specs
+            .chunks(cells.max(1))
+            .enumerate()
+            .map(|(r, replica)| run_rebased(runner, replica, r * cells, &mut failures))
+            .collect();
+        cells_failed(&self.figure, failures, total)?;
+        // A clean sweep filled every slot.
+        let per_replica: Vec<Vec<ScenarioRun>> = per_replica
+            .into_iter()
+            .map(|runs| runs.into_iter().flatten().collect())
+            .collect();
         self.render(&per_replica)
+    }
+}
+
+/// Runs `specs` through the runner's supervised path, appending each
+/// failure to `failures` with its index rebased by `offset` (slice-local
+/// to unit index). Returns the runs in spec order, `None` for failed
+/// cells.
+fn run_rebased(
+    runner: &SweepRunner,
+    specs: &[ScenarioSpec],
+    offset: usize,
+    failures: &mut Vec<CellFailure>,
+) -> Vec<Option<ScenarioRun>> {
+    let outcome = runner.run_specs_robust(specs);
+    failures.extend(outcome.failures.into_iter().map(|mut f| {
+        f.index += offset;
+        f
+    }));
+    outcome.runs
+}
+
+/// `Ok` for a clean sweep of `total` units, otherwise
+/// [`ServiceError::CellsFailed`] carrying every failure.
+fn cells_failed(
+    figure: &str,
+    failures: Vec<CellFailure>,
+    total: usize,
+) -> Result<(), ServiceError> {
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(ServiceError::CellsFailed {
+            figure: figure.to_string(),
+            failures,
+            total,
+        })
     }
 }
 

@@ -1245,25 +1245,22 @@ impl Scenario {
             .id
     }
 
-    /// Runs the spec's warm-up + measurement protocol.
-    pub fn run(mut self) -> ScenarioRun {
-        let report = self.harness.run(self.opts.warmup, self.opts.measure);
-        ScenarioRun {
-            name: self.name,
-            report,
-            workloads: self.workloads,
-            devices: self.devices,
-            missing: false,
+    /// Runs the spec's warm-up + measurement protocol:
+    /// [`Scenario::run_supervised`] from second 0 with the no-op `()`
+    /// supervisor.
+    pub fn run(self) -> ScenarioRun {
+        match self.run_supervised(0, Vec::new(), &mut ()) {
+            Ok(run) => run,
+            Err(never) => unreachable!("the no-op supervisor never aborts: {never}"),
         }
     }
 
-    /// The supervised variant of [`Scenario::run`]: covers seconds
+    /// Runs the protocol under supervision: covers seconds
     /// `start_second..warmup + measure` with `samples` already recorded
     /// (pass `0` and `Vec::new()` for a fresh run; the resume values
     /// come from a restored [`crate::supervise::CellCkpt`]) and lets
     /// `supervisor` checkpoint or abort the run after each logical
-    /// second. An uninterrupted supervised run is bit-identical to
-    /// [`Scenario::run`].
+    /// second.
     ///
     /// # Errors
     ///

@@ -9,13 +9,19 @@
 //! cargo run --release --example allocation_sweep
 //! ```
 
-use a4::experiments::{fig3, RunOpts, SweepRunner};
+use a4::experiments::{JobTables, RunOpts, SeedPolicy, SweepJob, SweepRunner};
 
 fn main() {
-    let opts = RunOpts::paper();
-    let runner = SweepRunner::with_threads(4);
-    println!("{}", fig3::run_with(&opts, false, &runner));
-    println!("{}", fig3::run_with(&opts, true, &runner));
+    let job = SweepJob::new("fig3", RunOpts::paper(), 1, SeedPolicy::SpecSeed).expect("fig3");
+    let JobTables::Single(tables) = job
+        .execute(&SweepRunner::with_threads(4))
+        .expect("static fig3 layout")
+    else {
+        unreachable!("a single-replica job renders plain tables")
+    };
+    for table in &tables {
+        println!("{table}");
+    }
     println!("Compare: DPDK-NT only bumps [0:1]-[1:2]; DPDK-T adds [5:6] (bloat)");
     println!("and [9:10] (directory contention, the paper's C1).");
 }

@@ -11,8 +11,11 @@ use a4::experiments::{fig13, RunOpts, SweepRunner};
 
 fn main() {
     let opts = RunOpts::controller();
-    let runner = SweepRunner::with_threads(4);
-    let table = fig13::run_with(&opts, true, &runner);
+    let runs = SweepRunner::with_threads(4)
+        .run_specs_robust(&fig13::specs(&opts, true))
+        .into_runs()
+        .expect("static fig13 layout");
+    let table = fig13::table(true, &runs);
     println!("{table}");
     println!("(perf columns are relative to the Default model; >1 is better)");
 }

@@ -23,7 +23,8 @@ fn main() {
         .map(|scheme| ScenarioSpec::microbench(opts).with_scheme(scheme))
         .collect();
     let runs = SweepRunner::with_threads(2)
-        .run_specs(&specs)
+        .run_specs_robust(&specs)
+        .into_runs()
         .expect("static microbench layout");
     let (default_run, a4_run) = (&runs[0], &runs[1]);
 

@@ -4,7 +4,7 @@
 //! the pipeline the figures use, at reduced run length. Scenarios are
 //! described with the declarative `ScenarioSpec` API.
 
-use a4::experiments::{fig3, fig4, RunOpts, ScenarioSpec, WorkloadSpec};
+use a4::experiments::{fig3, fig4, RunOpts, ScenarioSpec, SweepRunner, Table, WorkloadSpec};
 use a4::model::{Priority, WayMask};
 use a4::sim::LatencyKind;
 
@@ -12,11 +12,20 @@ fn opts() -> RunOpts {
     RunOpts::quick()
 }
 
+/// One Fig. 3 panel (`touch` selects 3b), run serially.
+fn fig3_panel(touch: bool) -> Table {
+    let runs = SweepRunner::serial()
+        .run_specs_robust(&fig3::specs(&opts(), touch))
+        .into_runs()
+        .expect("static fig3 layout");
+    fig3::table(touch, &runs)
+}
+
 /// (C1 groundwork) Fig. 3a: DPDK-NT causes latent contention at the DCA
 /// ways but nothing at the inclusive ways.
 #[test]
 fn fig3a_dpdk_nt_only_hurts_dca_ways() {
-    let table = fig3::run(&opts(), false);
+    let table = fig3_panel(false);
     let at_dca = table.get("[0:1]", "xmem_miss").unwrap();
     let at_std = table.get("[3:4]", "xmem_miss").unwrap();
     let at_incl = table.get("[9:10]", "xmem_miss").unwrap();
@@ -35,7 +44,7 @@ fn fig3a_dpdk_nt_only_hurts_dca_ways() {
 /// hidden directory-contention bump at the inclusive ways.
 #[test]
 fn fig3b_dpdk_t_shows_all_three_bumps() {
-    let table = fig3::run(&opts(), true);
+    let table = fig3_panel(true);
     let at_dca = table.get("[0:1]", "xmem_miss").unwrap();
     let at_std = table.get("[3:4]", "xmem_miss").unwrap();
     let at_dpdk = table.get("[5:6]", "xmem_miss").unwrap();

@@ -7,14 +7,16 @@
 //! code (`a4-repro fig12 fig13 --quick --json`); these tests regenerate
 //! them with the current code and compare the serialized bytes.
 
-use a4::experiments::{fig12, fig13, RunOpts, SweepRunner};
+use a4::experiments::{JobTables, Protocol, SeedPolicy, SweepJob, SweepRunner, Table};
 
-fn quick_ctl_opts() -> RunOpts {
-    // Mirrors a4-repro's --quick protocol for controller figures.
-    RunOpts {
-        warmup: 12,
-        measure: 4,
-        seed: 0xA4,
+/// Runs `figure` under a4-repro's `--quick` controller protocol through
+/// the direct sweep-service path, on two threads.
+fn quick_ctl_tables(figure: &str) -> Vec<Table> {
+    let opts = Protocol::Controller.opts(true);
+    let job = SweepJob::new(figure, opts, 1, SeedPolicy::SpecSeed).expect("known figure");
+    match job.execute(&SweepRunner::with_threads(2)) {
+        Ok(JobTables::Single(tables)) => tables,
+        other => panic!("{figure}: expected plain tables, got {other:?}"),
     }
 }
 
@@ -34,16 +36,13 @@ fn assert_matches_golden(table: &a4::experiments::Table, golden_file: &str) {
 
 #[test]
 fn fig12_quick_table_is_byte_identical_to_pre_refactor() {
-    let table = fig12::run_with(&quick_ctl_opts(), &SweepRunner::with_threads(2));
-    assert_matches_golden(&table, "fig12.json");
+    let tables = quick_ctl_tables("fig12");
+    assert_matches_golden(&tables[0], "fig12.json");
 }
 
 #[test]
 fn fig13_quick_tables_are_byte_identical_to_pre_refactor() {
-    let opts = quick_ctl_opts();
-    let runner = SweepRunner::with_threads(2);
-    let hp = fig13::run_with(&opts, true, &runner);
-    let lp = fig13::run_with(&opts, false, &runner);
-    assert_matches_golden(&hp, "fig13a.json");
-    assert_matches_golden(&lp, "fig13b.json");
+    let tables = quick_ctl_tables("fig13");
+    assert_matches_golden(&tables[0], "fig13a.json");
+    assert_matches_golden(&tables[1], "fig13b.json");
 }

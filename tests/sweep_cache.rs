@@ -6,9 +6,10 @@
 //!   there is no hidden re-simulation);
 //! * editing one cell's spec invalidates only that cell.
 
+use a4::experiments::service::ServiceError;
 use a4::experiments::{
-    spec_key, ResultCache, RunOpts, ScenarioSpec, SeedPolicy, Shard, SweepJob, SweepRunner,
-    WorkloadSpec,
+    spec_key, CkptStore, FailureKind, ResultCache, RunOpts, ScenarioSpec, SeedPolicy, Shard,
+    SweepJob, SweepRunner, WorkloadSpec,
 };
 use a4::model::Priority;
 use std::path::PathBuf;
@@ -64,7 +65,8 @@ fn cold_populates_warm_hits_and_is_byte_identical() {
     let runner = SweepRunner::serial().with_cache_dir(&dir);
 
     let cold: Vec<_> = runner
-        .run_specs(&specs)
+        .run_specs_robust(&specs)
+        .into_runs()
         .expect("cold run")
         .iter()
         .map(fingerprint)
@@ -73,7 +75,8 @@ fn cold_populates_warm_hits_and_is_byte_identical() {
     assert_eq!(entries, specs.len(), "one cache entry per cell");
 
     let warm: Vec<_> = runner
-        .run_specs(&specs)
+        .run_specs_robust(&specs)
+        .into_runs()
         .expect("warm run")
         .iter()
         .map(fingerprint)
@@ -93,7 +96,8 @@ fn cold_populates_warm_hits_and_is_byte_identical() {
     // must now fail => treated as a miss. First check miss-recovery:
     std::fs::write(&path, &tampered).unwrap();
     let recovered = runner
-        .run_specs(&specs)
+        .run_specs_robust(&specs)
+        .into_runs()
         .expect("corrupt entry re-simulated");
     assert_eq!(fingerprint(&recovered[0]).0, cold_ops, "re-simulated");
 
@@ -103,7 +107,10 @@ fn cold_populates_warm_hits_and_is_byte_identical() {
     let other = std::fs::read_to_string(dir.join(format!("{}.report.json", spec_key(&specs[1]))))
         .expect("other entry");
     std::fs::write(&path, other).unwrap();
-    let swapped = runner.run_specs(&specs).expect("swapped run");
+    let swapped = runner
+        .run_specs_robust(&specs)
+        .into_runs()
+        .expect("swapped run");
     assert_eq!(
         fingerprint(&swapped[0]),
         cold[1],
@@ -118,7 +125,10 @@ fn editing_one_cell_invalidates_only_itself() {
     let dir = tmp_cache("edit");
     let mut specs = cells();
     let runner = SweepRunner::serial().with_cache_dir(&dir);
-    runner.run_specs(&specs).expect("cold run");
+    runner
+        .run_specs_robust(&specs)
+        .into_runs()
+        .expect("cold run");
 
     let untouched_key = spec_key(&specs[1]);
     let old_key = spec_key(&specs[0]);
@@ -138,7 +148,10 @@ fn editing_one_cell_invalidates_only_itself() {
     let new_key = spec_key(&specs[0]);
     assert_ne!(new_key, old_key, "edited cell gets a fresh key");
 
-    runner.run_specs(&specs).expect("edited run");
+    runner
+        .run_specs_robust(&specs)
+        .into_runs()
+        .expect("edited run");
     assert!(
         dir.join(format!("{new_key}.report.json")).exists(),
         "edited cell was simulated and cached under its new key"
@@ -160,8 +173,8 @@ fn replicas_key_the_cache_independently() {
     // `--replicas N` reruns each cell at doubly-derived seeds; every
     // (cell, replica) pair must cache under its own key (the effective
     // post-derivation spec), reproduce bit-identically warm, and never
-    // collide with the plain or per-cell-derived runs. X-Mem 3 consumes
-    // the workload RNG, so distinct seeds give distinct results.
+    // collide with the plain runs. X-Mem 3 consumes the workload RNG, so
+    // distinct seeds give distinct results.
     let dir = tmp_cache("replicas");
     let specs: Vec<ScenarioSpec> = cells()
         .into_iter()
@@ -178,7 +191,8 @@ fn replicas_key_the_cache_independently() {
         SweepRunner::serial()
             .with_cache_dir(&dir)
             .replica(r)
-            .run_specs(&specs)
+            .run_specs_robust(&specs)
+            .into_runs()
             .unwrap()
             .iter()
             .map(fingerprint)
@@ -205,13 +219,65 @@ fn replicas_key_the_cache_independently() {
     // A plain (underived) run keys separately from every replica.
     let plain: Vec<_> = SweepRunner::serial()
         .with_cache_dir(&dir)
-        .run_specs(&specs)
+        .run_specs_robust(&specs)
+        .into_runs()
         .unwrap()
         .iter()
         .map(fingerprint)
         .collect();
     assert_ne!(plain, rep0);
     assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 3 * specs.len());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn direct_execution_runs_under_the_runners_supervision() {
+    // Plain `a4-repro fig4` calls `SweepJob::execute`: the runner's
+    // watchdog budget and checkpoint cadence must apply there exactly as
+    // they do to a shard, not be silently dropped.
+    let job = SweepJob::new(
+        "fig4",
+        RunOpts {
+            warmup: 1,
+            measure: 2,
+            seed: 0xA4,
+        },
+        1,
+        SeedPolicy::SpecSeed,
+    )
+    .unwrap();
+    let cells = job.units().unwrap().len();
+
+    // A 1-quantum budget trips on every cell's first logical second.
+    match job.execute(&SweepRunner::serial().with_quantum_budget(1)) {
+        Err(ServiceError::CellsFailed {
+            figure,
+            failures,
+            total,
+        }) => {
+            assert_eq!(figure, "fig4");
+            assert_eq!(total, cells);
+            let failed: Vec<usize> = failures.iter().map(|f| f.index).collect();
+            assert_eq!(failed, (0..cells).collect::<Vec<_>>(), "every cell named");
+            for failure in &failures {
+                assert!(
+                    matches!(failure.kind, FailureKind::Watchdog { budget: 1, .. }),
+                    "{failure}"
+                );
+            }
+        }
+        other => panic!("expected CellsFailed, got {other:?}"),
+    }
+
+    // A per-quantum checkpoint cadence lands checkpoints, and the
+    // checkpointed run renders the same tables as an unsupervised one.
+    let dir = tmp_cache("direct-ckpt");
+    let store = CkptStore::new(&dir);
+    let checkpointed = job
+        .execute(&SweepRunner::serial().with_ckpt(store.clone(), 1))
+        .unwrap();
+    assert!(store.saved() > 0, "checkpoints were taken");
+    assert_eq!(checkpointed, job.execute(&SweepRunner::serial()).unwrap());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -253,58 +319,5 @@ fn warm_shared_store_never_simulates() {
         job.render_from_store(&ResultCache::new(&dir)).unwrap(),
         tables
     );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn derived_seeds_key_the_effective_spec() {
-    // With per-cell seed derivation the *effective* spec (post
-    // derive_seed) must be what's cached, so plain and derived runs
-    // never collide. The cells must actually consume the workload RNG
-    // for the seed to show in results — X-Mem 3 reads randomly (DPDK
-    // alone never draws from it).
-    let dir = tmp_cache("seeds");
-    let specs: Vec<ScenarioSpec> = cells()
-        .into_iter()
-        .map(|s| {
-            s.with_workload(
-                "xmem3",
-                WorkloadSpec::XMem { instance: 3 },
-                &[2],
-                Priority::Low,
-            )
-        })
-        .collect();
-    let plain = SweepRunner::serial().with_cache_dir(&dir);
-    let derived = SweepRunner::serial()
-        .with_cache_dir(&dir)
-        .derive_seeds(true);
-
-    let a: Vec<_> = plain
-        .run_specs(&specs)
-        .unwrap()
-        .iter()
-        .map(fingerprint)
-        .collect();
-    let entries_after_plain = std::fs::read_dir(&dir).unwrap().count();
-    let b: Vec<_> = derived
-        .run_specs(&specs)
-        .unwrap()
-        .iter()
-        .map(fingerprint)
-        .collect();
-    let entries_after_derived = std::fs::read_dir(&dir).unwrap().count();
-    // Cell 0 derives a different seed than the base for index 0, cell 1
-    // too: derived entries are new.
-    assert!(entries_after_derived > entries_after_plain);
-    assert_ne!(a, b, "derived seeds simulate different runs");
-    // And both remain cached + reproducible.
-    let b2: Vec<_> = derived
-        .run_specs(&specs)
-        .unwrap()
-        .iter()
-        .map(fingerprint)
-        .collect();
-    assert_eq!(b, b2);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -8,7 +8,7 @@
 
 use a4::experiments::service::ServiceError;
 use a4::experiments::{
-    fig11, fig12, fig13, JobQueue, JobTables, ResultCache, RunOpts, SeedPolicy, Shard, SweepJob,
+    fig11, fig13, JobQueue, JobTables, ResultCache, RunOpts, SeedPolicy, Shard, SweepJob,
     SweepRunner, Task,
 };
 use std::path::PathBuf;
@@ -45,22 +45,21 @@ fn assert_rendered_identical(a: &JobTables, b: &JobTables) {
 
 #[test]
 fn fig12_tables_are_identical_across_thread_counts() {
-    let opts = quick();
-    let serial = fig12::run_with(&opts, &SweepRunner::serial());
-    let parallel = fig12::run_with(&opts, &SweepRunner::with_threads(4));
+    let job = SweepJob::new("fig12", quick(), 1, SeedPolicy::SpecSeed).unwrap();
+    let serial = job.execute(&SweepRunner::serial()).unwrap();
+    let parallel = job.execute(&SweepRunner::with_threads(4)).unwrap();
     // Byte-identical in both renderings.
-    assert_eq!(serial.to_string(), parallel.to_string());
-    assert_eq!(
-        serde_json::to_string(&serial).unwrap(),
-        serde_json::to_string(&parallel).unwrap()
-    );
+    assert_rendered_identical(&serial, &parallel);
 }
 
 #[test]
 fn fig13_tables_are_identical_across_thread_counts() {
-    let opts = quick();
-    let serial = fig13::run_with(&opts, true, &SweepRunner::serial());
-    let parallel = fig13::run_with(&opts, true, &SweepRunner::with_threads(4));
+    let specs = fig13::specs(&quick(), true);
+    let panel = |runner: SweepRunner| {
+        fig13::table(true, &runner.run_specs_robust(&specs).into_runs().unwrap())
+    };
+    let serial = panel(SweepRunner::serial());
+    let parallel = panel(SweepRunner::with_threads(4));
     assert_eq!(serial.to_string(), parallel.to_string());
     assert_eq!(
         serde_json::to_string(&serial).unwrap(),
@@ -152,9 +151,10 @@ fn oversubscribed_runner_is_still_deterministic() {
     // More threads than cells, and a weird thread count.
     let opts = quick();
     let specs = fig11::specs(&opts);
-    let serial = SweepRunner::serial().run_specs(&specs).unwrap();
-    let wide = SweepRunner::with_threads(64).run_specs(&specs).unwrap();
-    let odd = SweepRunner::with_threads(3).run_specs(&specs).unwrap();
+    let run = |runner: SweepRunner| runner.run_specs_robust(&specs).into_runs().unwrap();
+    let serial = run(SweepRunner::serial());
+    let wide = run(SweepRunner::with_threads(64));
+    let odd = run(SweepRunner::with_threads(3));
     for ((a, b), c) in serial.iter().zip(&wide).zip(&odd) {
         for binding in &a.workloads {
             let pa = a.perf(&binding.role);
