@@ -66,8 +66,8 @@ pub use fault::{Backoff, FabricHealth, FaultFs, FaultPlan, Fs, RealFs};
 pub use queue::{Enqueued, JobQueue, QueueError, Task, TaskState, MIN_STALE_AGE};
 pub use runner::{CellFailure, FailureKind, SweepOutcome, SweepRunner, TypedAxis, TypedSweep2};
 pub use service::{
-    drain_queue, fabric_health, figures, DrainReport, FigureDef, JobTables, Protocol, SeedPolicy,
-    Shard, SweepJob, MAX_ATTEMPTS, MAX_HEARTBEAT_FAILURES,
+    drain_queue, execute_replicated, fabric_health, figures, DrainReport, FigureDef, JobTables,
+    Protocol, Shard, SweepJob, MAX_ATTEMPTS, MAX_HEARTBEAT_FAILURES,
 };
 pub use spec::{RunOpts, ScenarioRun, ScenarioSpec, Scheme, WorkloadSpec};
 pub use supervise::{CellCkpt, CellSupervisor, CkptStore, CELL_CKPT_VERSION};

@@ -26,7 +26,8 @@
 //! Every fallible operation returns a typed [`QueueError`] instead of
 //! panicking: the queue is driven by unattended `--worker` fleets, and
 //! a malformed or truncated task file must never kill a worker. A task
-//! that fails to parse on claim is quarantined under `poison/` (see
+//! that fails to parse on claim, or whose job carries another
+//! [`JOB_SCHEMA`], is quarantined under `poison/` (see
 //! [`JobQueue::poisoned`]) and the claim scan moves on.
 //!
 //! Each successful claim bumps a best-effort per-task **attempt
@@ -46,7 +47,7 @@
 
 use crate::cache::content_key;
 use crate::fault::{Fs, RealFs};
-use crate::service::{Shard, SweepJob};
+use crate::service::{Shard, SweepJob, JOB_SCHEMA};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io;
@@ -345,9 +346,10 @@ impl JobQueue {
     /// `.`): atomically renames the task file into `leases/`, so each
     /// task has at most one owner. Scans in name order; returns
     /// `Ok(None)` when nothing is pending. A task file that does not
-    /// parse is quarantined under `poison/` (it could never execute,
-    /// and bouncing it back would loop forever) and the scan moves on —
-    /// corrupt input degrades one task, never the worker.
+    /// parse, or whose job is not [`JOB_SCHEMA`], is quarantined under
+    /// `poison/` (it could never execute as written, and bouncing it
+    /// back would loop forever) and the scan moves on — corrupt input
+    /// degrades one task, never the worker.
     ///
     /// # Errors
     ///
@@ -387,7 +389,10 @@ impl JobQueue {
                 .read_to_string(&lease_path)
                 .map_err(QueueError::io("read claimed task", &lease_path))?;
             match serde_json::from_str::<Task>(&json) {
-                Ok(task) => {
+                // The reader ignores unknown fields, so a job from
+                // another schema parses — and would run under this
+                // build's semantics — unless its version is checked.
+                Ok(task) if task.job.schema == JOB_SCHEMA => {
                     let attempts = self.bump_attempts(&id);
                     return Ok(Some(Lease {
                         id,
@@ -397,7 +402,7 @@ impl JobQueue {
                         attempts,
                     }));
                 }
-                Err(_) => {
+                _ => {
                     // Poison task: quarantine it (keeping the evidence
                     // for a post-mortem) and keep scanning.
                     let grave = self.poison().join(&name);
@@ -604,7 +609,6 @@ impl JobQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::SeedPolicy;
     use crate::spec::RunOpts;
     use std::time::SystemTime;
 
@@ -616,7 +620,7 @@ mod tests {
 
     fn task(shard_index: u64) -> Task {
         Task {
-            job: SweepJob::new("fig4", RunOpts::quick(), 1, SeedPolicy::SpecSeed).unwrap(),
+            job: SweepJob::new("fig4", RunOpts::quick(), 1).unwrap(),
             shard: Shard::new(shard_index, 2),
         }
     }
@@ -792,7 +796,22 @@ mod tests {
         let pending = dir.join("queue/pending");
         std::fs::write(pending.join("!garbage.task.json"), "{ not json").unwrap();
         std::fs::write(pending.join("!truncated.task.json"), "").unwrap();
-        assert_eq!(queue.counts().unwrap().0, 3);
+        // Two well-formed tasks from other job schemas: a v1 job with
+        // its `seed_policy` (which the reader would silently ignore) and
+        // a job from a newer build. The same text at this build's schema
+        // is a valid task, so only the version condemns them.
+        let task_json = |schema: u32| {
+            format!(
+                r#"{{"job": {{"schema": {schema}, "figure": "fig4", "replicas": 1,
+                   "opts": {{"warmup": 1, "measure": 2, "seed": 164}},
+                   "seed_policy": "PerCell"}}, "shard": {{"index": 0, "count": 1}}}}"#
+            )
+        };
+        let current: Task = serde_json::from_str(&task_json(JOB_SCHEMA)).unwrap();
+        assert_eq!(current.job.schema, JOB_SCHEMA);
+        std::fs::write(pending.join("!v1.task.json"), task_json(1)).unwrap();
+        std::fs::write(pending.join("!v3.task.json"), task_json(3)).unwrap();
+        assert_eq!(queue.counts().unwrap().0, 5);
 
         // The worker drains the queue: corrupt tasks quarantined, the
         // good one claimed and completed, no panic anywhere.
@@ -802,7 +821,7 @@ mod tests {
         assert!(queue.claim("w1").unwrap().is_none(), "queue drained");
 
         assert_eq!(queue.counts().unwrap(), (0, 0, 1));
-        assert_eq!(queue.poisoned().unwrap(), 2, "corrupt tasks quarantined");
+        assert_eq!(queue.poisoned().unwrap(), 4, "corrupt tasks quarantined");
         assert_eq!(
             queue.state(&t.id().unwrap()),
             TaskState::Done,

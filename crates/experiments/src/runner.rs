@@ -262,7 +262,6 @@ fn panic_reason(payload: &(dyn Any + Send)) -> String {
 #[derive(Debug, Clone)]
 pub struct SweepRunner {
     threads: usize,
-    replica: Option<u64>,
     cache: Option<ResultCache>,
     ckpt: Option<CkptStore>,
     ckpt_every: u64,
@@ -288,7 +287,6 @@ impl SweepRunner {
     pub fn with_threads(threads: usize) -> Self {
         SweepRunner {
             threads: threads.max(1),
-            replica: None,
             cache: None,
             ckpt: None,
             ckpt_every: 0,
@@ -301,18 +299,8 @@ impl SweepRunner {
         self.threads
     }
 
-    /// Selects replica `r` of a replicated sweep: cell `i` runs with the
-    /// doubly-derived seed [`derive_seed`]`(`[`derive_seed`]`(spec_seed,
-    /// r), i)` — decorrelated across both replicas and cells, and a pure
-    /// function of `(spec, r, i)`, so every `(cell, replica)` pair keys
-    /// the result cache independently and warm re-runs stay warm.
-    pub fn replica(mut self, r: u64) -> Self {
-        self.replica = Some(r);
-        self
-    }
-
     /// Enables content-addressed result caching under `dir`: cells whose
-    /// effective spec (post seed-derivation) hashes to a stored
+    /// spec hashes to a stored
     /// [`a4_core::RunReport`] are loaded instead of simulated, and every
     /// simulated cell is stored. The simulator is deterministic, so
     /// tables built from cached reports are byte-identical to cold runs;
@@ -344,11 +332,6 @@ impl SweepRunner {
         self.ckpt = Some(store);
         self.ckpt_every = every;
         self
-    }
-
-    /// The checkpoint store, if checkpointing is enabled.
-    pub fn ckpt_store(&self) -> Option<&CkptStore> {
-        self.ckpt.as_ref()
     }
 
     /// Arms the runaway-cell watchdog: a cell that consumes more than
@@ -399,17 +382,6 @@ impl SweepRunner {
             .collect()
     }
 
-    /// The effective spec of cell `i` after replica seed derivation —
-    /// the spec the cell runs and the key it is cached under.
-    fn effective_spec(&self, i: usize, spec: &ScenarioSpec) -> ScenarioSpec {
-        if let Some(r) = self.replica {
-            spec.clone()
-                .with_seed(derive_seed(derive_seed(spec.opts.seed, r), i as u64))
-        } else {
-            spec.clone()
-        }
-    }
-
     /// Builds the cell's scenario, resuming from a valid checkpoint
     /// when one exists: returns the scenario plus the resume point
     /// (`start_second`, recorded samples). Any restore failure falls
@@ -450,8 +422,7 @@ impl SweepRunner {
     /// Runs one cell under supervision: cache lookup, checkpoint
     /// resume, watchdog, checkpointed execution, store + cleanup.
     fn run_one(&self, i: usize, spec: &ScenarioSpec) -> Result<ScenarioRun, CellFailure> {
-        let spec = self.effective_spec(i, spec);
-        let key = spec_key(&spec);
+        let key = spec_key(spec);
         if let Some(cache) = &self.cache {
             if let Some(report) = cache.load(&key) {
                 if let Some(store) = &self.ckpt {
@@ -463,7 +434,7 @@ impl SweepRunner {
             }
         }
         let (scenario, start_second, samples) =
-            self.resume_or_fresh(&spec, &key).map_err(|e| CellFailure {
+            self.resume_or_fresh(spec, &key).map_err(|e| CellFailure {
                 index: i,
                 kind: FailureKind::Build,
                 reason: e.to_string(),
@@ -610,37 +581,6 @@ mod tests {
         let b = derive_seed(0xA4, 1);
         assert_ne!(a, b);
         assert_eq!(a, derive_seed(0xA4, 0));
-    }
-
-    #[test]
-    fn replicas_are_deterministic_and_distinct() {
-        let spec = crate::spec::ScenarioSpec::new(
-            "replica-cell",
-            RunOpts {
-                warmup: 1,
-                measure: 2,
-                seed: 0xA4,
-            },
-        )
-        .with_workload(
-            "xmem3",
-            crate::spec::WorkloadSpec::XMem { instance: 3 },
-            &[0],
-            a4_model::Priority::Low,
-        );
-        let specs = [spec];
-        let ipc = |r: u64| {
-            let runs = SweepRunner::serial()
-                .replica(r)
-                .run_specs_robust(&specs)
-                .into_runs()
-                .unwrap();
-            runs[0].ipc("xmem3").to_bits()
-        };
-        // Distinct replicas simulate distinct runs; the same replica is
-        // bit-reproducible.
-        assert_ne!(ipc(0), ipc(1));
-        assert_eq!(ipc(1), ipc(1));
     }
 
     fn xmem_spec(instance: u8, tag: &str) -> crate::spec::ScenarioSpec {

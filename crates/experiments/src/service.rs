@@ -1,7 +1,7 @@
 //! The sweep service: figures as data.
 //!
-//! A [`SweepJob`] describes one figure sweep — figure id, run protocol,
-//! replica count and seed policy — as serde-round-trippable data, and
+//! A [`SweepJob`] describes one figure sweep — figure id, run protocol
+//! and replica count — as serde-round-trippable data, and
 //! expands to a flat list of [`WorkUnit`]s whose specs already carry
 //! their *effective* seeds. Because the unit spec is the exact spec a
 //! direct (unsharded) run would hash, any process can execute any slice
@@ -200,18 +200,6 @@ pub fn figure(name: &str) -> Option<FigureDef> {
     figures().into_iter().find(|f| f.name == name)
 }
 
-/// How a single-replica job seeds its cells. (Replicated jobs always
-/// double-derive per `(replica, cell)`, matching
-/// [`SweepRunner::replica`].)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SeedPolicy {
-    /// Every cell runs with its spec's own seed — the paper protocol
-    /// and the historical CLI default.
-    SpecSeed,
-    /// Cell `i` runs with [`derive_seed`]`(spec_seed, i)`.
-    PerCell,
-}
-
 /// One slice of a sharded sweep: shard `index` of `count` owns every
 /// work unit whose global index is `index (mod count)`, so shards are
 /// near-equal in size and a unit belongs to exactly one shard.
@@ -272,8 +260,13 @@ impl fmt::Display for Shard {
     }
 }
 
-/// The job description format version ([`SweepJob::schema`]).
-pub const JOB_SCHEMA: u32 = 1;
+/// The job description format version ([`SweepJob::schema`]). Version 2
+/// dropped the v1 `seed_policy` field. A queued task whose job carries
+/// any other version is quarantined as poison on claim
+/// ([`JobQueue::claim`]): the JSON reader ignores unknown fields, so a
+/// task from another build would otherwise run under this build's
+/// semantics.
+pub const JOB_SCHEMA: u32 = 2;
 
 /// A complete, serializable description of one figure sweep: any
 /// process holding this value (and the same build) expands the same
@@ -290,8 +283,6 @@ pub struct SweepJob {
     pub opts: RunOpts,
     /// Replica count (>= 1); replicas > 1 render as mean ± stddev.
     pub replicas: u64,
-    /// Seed policy for single-replica jobs.
-    pub seed_policy: SeedPolicy,
 }
 
 /// One executable unit of a [`SweepJob`]: a `(replica, cell)` pair with
@@ -425,18 +416,12 @@ impl SweepJob {
     ///
     /// [`ServiceError::UnknownFigure`] if the registry has no such
     /// figure.
-    pub fn new(
-        figure: &str,
-        opts: RunOpts,
-        replicas: u64,
-        seed_policy: SeedPolicy,
-    ) -> Result<Self, ServiceError> {
+    pub fn new(figure: &str, opts: RunOpts, replicas: u64) -> Result<Self, ServiceError> {
         let job = SweepJob {
             schema: JOB_SCHEMA,
             figure: figure.to_string(),
             opts,
             replicas: replicas.max(1),
-            seed_policy,
         };
         job.def()?;
         Ok(job)
@@ -450,22 +435,6 @@ impl SweepJob {
     /// unknown figure id.
     pub fn def(&self) -> Result<FigureDef, ServiceError> {
         figure(&self.figure).ok_or_else(|| ServiceError::UnknownFigure(self.figure.clone()))
-    }
-
-    /// The effective spec of `(replica r, cell i)`: replicated jobs
-    /// double-derive exactly like [`SweepRunner::replica`]; otherwise
-    /// the [`SeedPolicy`] applies. Cell indices are figure-global (the
-    /// concatenated [`FigureDef::specs`] order).
-    fn bake(&self, spec: &ScenarioSpec, r: u64, i: u64) -> ScenarioSpec {
-        if self.replicas > 1 {
-            spec.clone()
-                .with_seed(derive_seed(derive_seed(spec.opts.seed, r), i))
-        } else {
-            match self.seed_policy {
-                SeedPolicy::SpecSeed => spec.clone(),
-                SeedPolicy::PerCell => spec.clone().with_seed(derive_seed(spec.opts.seed, i)),
-            }
-        }
     }
 
     /// Every work unit of the job, replica-major, with effective specs.
@@ -483,7 +452,7 @@ impl SweepJob {
                     index: units.len() as u64,
                     replica: r,
                     cell: i,
-                    spec: self.bake(spec, r, i as u64),
+                    spec: bake(spec, self.replicas, r, i as u64),
                 });
             }
         }
@@ -506,9 +475,7 @@ impl SweepJob {
     /// Executes `shard`'s units against the runner's store and returns
     /// how many units it owns. Units already in the store are loaded,
     /// not re-simulated, so re-executing a shard (a restarted worker, a
-    /// re-claimed lease) is idempotent. The runner must be *plain* — no
-    /// [`SweepRunner::replica`] — because unit specs already carry their
-    /// effective seeds.
+    /// re-claimed lease) is idempotent.
     ///
     /// # Errors
     ///
@@ -563,54 +530,27 @@ impl SweepJob {
 
     /// Loads every unit's report from the store and rebuilds the runs,
     /// grouped per replica in cell order — the merge-on-read of a
-    /// (possibly sharded, possibly partial) sweep.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::MissingCells`] if any unit has no store entry.
-    pub fn load_runs(&self, store: &ResultCache) -> Result<Vec<Vec<ScenarioRun>>, ServiceError> {
-        self.load_runs_inner(store, false).map(|(runs, _, _)| runs)
-    }
-
-    /// [`SweepJob::load_runs`], but missing cells become
-    /// [`ScenarioSpec::missing_run`] placeholders (every metric NaN)
-    /// instead of an error. Returns the runs plus
-    /// `(missing, total)` unit counts.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownFigure`].
-    pub fn load_runs_best_effort(
-        &self,
-        store: &ResultCache,
-    ) -> Result<(Vec<Vec<ScenarioRun>>, usize, usize), ServiceError> {
-        self.load_runs_inner(store, true)
-    }
-
-    fn load_runs_inner(
+    /// (possibly sharded, possibly partial) sweep — plus `(missing,
+    /// total)` unit counts. A missing cell is a
+    /// [`ServiceError::MissingCells`], or with `best_effort` a
+    /// [`ScenarioSpec::missing_run`] placeholder (every metric NaN).
+    fn load_runs(
         &self,
         store: &ResultCache,
         best_effort: bool,
     ) -> Result<(Vec<Vec<ScenarioRun>>, usize, usize), ServiceError> {
         let units = self.units()?;
         let total = units.len();
-        let cells = total / self.replicas as usize;
-        let mut per_replica: Vec<Vec<Option<ScenarioRun>>> = (0..self.replicas)
-            .map(|_| (0..cells).map(|_| None).collect())
-            .collect();
         let mut missing = Vec::new();
+        let mut runs = Vec::with_capacity(total);
         for unit in units {
-            let run = match store.load(&spec_key(&unit.spec)) {
-                Some(report) => unit.spec.run_from_report(report),
+            match store.load(&spec_key(&unit.spec)) {
+                Some(report) => runs.push(unit.spec.run_from_report(report)),
                 None => {
                     missing.push(unit.spec.name.clone());
-                    if !best_effort {
-                        continue;
-                    }
-                    unit.spec.missing_run()
+                    runs.push(unit.spec.missing_run());
                 }
-            };
-            per_replica[unit.replica as usize][unit.cell] = Some(run);
+            }
         }
         if !missing.is_empty() && !best_effort {
             return Err(ServiceError::MissingCells {
@@ -619,49 +559,13 @@ impl SweepJob {
                 missing,
             });
         }
-        let runs = per_replica
-            .into_iter()
-            .map(|runs| {
-                runs.into_iter()
-                    // a4-lint: allow(panic-unwrap) -- unreachable: strict mode early-returned MissingCells on any None; best-effort filled every None with a placeholder
-                    .map(|r| r.expect("no cell missing"))
-                    .collect()
-            })
+        // Units are replica-major: each replica is the next `cells` runs.
+        let cells = total / self.replicas as usize;
+        let mut runs = runs.into_iter();
+        let per_replica = (0..self.replicas)
+            .map(|_| runs.by_ref().take(cells).collect())
             .collect();
-        Ok((runs, missing.len(), total))
-    }
-
-    /// Renders per-replica runs into the job's tables: one table set
-    /// for a single replica, cell-wise mean ± stddev otherwise.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownFigure`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_replica` does not hold one complete run set per
-    /// replica (as [`SweepJob::load_runs`] and [`SweepJob::execute`]
-    /// produce).
-    pub fn render(&self, per_replica: &[Vec<ScenarioRun>]) -> Result<JobTables, ServiceError> {
-        let def = self.def()?;
-        assert_eq!(
-            per_replica.len(),
-            self.replicas as usize,
-            "one run set per replica"
-        );
-        if self.replicas > 1 {
-            let reps: Vec<Vec<Table>> = per_replica.iter().map(|runs| (def.render)(runs)).collect();
-            let stats = (0..reps[0].len())
-                .map(|ti| {
-                    let group: Vec<Table> = reps.iter().map(|r| r[ti].clone()).collect();
-                    TableStats::from_replicas(&group)
-                })
-                .collect();
-            Ok(JobTables::Replicated(stats))
-        } else {
-            Ok(JobTables::Single((def.render)(&per_replica[0])))
-        }
+        Ok((per_replica, missing.len(), total))
     }
 
     /// Renders the job's tables purely from the store — the merge pass
@@ -671,7 +575,8 @@ impl SweepJob {
     ///
     /// [`ServiceError::MissingCells`] for partial sweeps.
     pub fn render_from_store(&self, store: &ResultCache) -> Result<JobTables, ServiceError> {
-        self.render(&self.load_runs(store)?)
+        let (runs, _, _) = self.load_runs(store, false)?;
+        Ok(render_replicas(self.def()?.render, &runs))
     }
 
     /// [`SweepJob::render_from_store`] in best-effort mode: a partial
@@ -688,8 +593,8 @@ impl SweepJob {
         &self,
         store: &ResultCache,
     ) -> Result<(JobTables, usize, usize), ServiceError> {
-        let (runs, missing, total) = self.load_runs_best_effort(store)?;
-        let mut tables = self.render(&runs)?;
+        let (runs, missing, total) = self.load_runs(store, true)?;
+        let mut tables = render_replicas(self.def()?.render, &runs);
         if missing > 0 {
             let suffix = format!(" [best-effort: {missing}/{total} cells missing]");
             match &mut tables {
@@ -711,34 +616,102 @@ impl SweepJob {
 
     /// Executes the whole job on `runner` (store-backed cells load
     /// instead of simulating) and renders its tables — the direct,
-    /// single-process path. Cells run through the runner's supervised
-    /// path, so its checkpoint cadence and watchdog budget apply here
-    /// exactly as in [`SweepJob::execute_shard`]. The runner must be
-    /// plain (see [`SweepJob::execute_shard`]).
+    /// single-process path, through [`execute_replicated`].
     ///
     /// # Errors
     ///
-    /// [`ServiceError::CellsFailed`] (with job-global unit indices) if
-    /// any cell fails; the other cells still complete into the store.
+    /// [`ServiceError::UnknownFigure`], or [`ServiceError::CellsFailed`]
+    /// (with job-global unit indices) if any cell fails; the other cells
+    /// still complete into the store.
     pub fn execute(&self, runner: &SweepRunner) -> Result<JobTables, ServiceError> {
-        let units = self.units()?;
-        let total = units.len();
-        let cells = total / self.replicas as usize;
-        let specs: Vec<ScenarioSpec> = units.into_iter().map(|u| u.spec).collect();
-        let mut failures = Vec::new();
-        let per_replica: Vec<Vec<Option<ScenarioRun>>> = specs
-            .chunks(cells.max(1))
-            .enumerate()
-            .map(|(r, replica)| run_rebased(runner, replica, r * cells, &mut failures))
-            .collect();
-        cells_failed(&self.figure, failures, total)?;
-        // A clean sweep filled every slot.
-        let per_replica: Vec<Vec<ScenarioRun>> = per_replica
-            .into_iter()
-            .map(|runs| runs.into_iter().flatten().collect())
-            .collect();
-        self.render(&per_replica)
+        let def = self.def()?;
+        execute_replicated(
+            runner,
+            &self.figure,
+            &(def.specs)(&self.opts),
+            self.replicas,
+            def.render,
+        )
     }
+}
+
+/// The effective spec of replica `r` of cell `i` in a sweep of
+/// `replicas` replicas. A single-replica sweep runs every spec as given;
+/// a replicated one runs unit `(r, i)` at
+/// [`derive_seed`]`(`[`derive_seed`]`(seed, r), i)`, a pure function of
+/// `(spec, r, i)` decorrelated across both replicas and cells, so every
+/// `(replica, cell)` pair keys the store independently. For a figure,
+/// `i` is the figure-global cell index (the concatenated
+/// [`FigureDef::specs`] order).
+fn bake(spec: &ScenarioSpec, replicas: u64, r: u64, i: u64) -> ScenarioSpec {
+    if replicas > 1 {
+        spec.clone()
+            .with_seed(derive_seed(derive_seed(spec.opts.seed, r), i))
+    } else {
+        spec.clone()
+    }
+}
+
+/// Runs `specs` at `replicas` (clamped to at least 1) replicas on
+/// `runner` and renders each replica's runs with `render` — the one
+/// replica mechanism, behind both [`SweepJob::execute`] and
+/// `a4-repro --spec FILE --replicas N`. Cell `i` of replica `r` runs at
+/// the seed [`SweepJob::units`] derives for unit `(r, i)`, so a direct
+/// run and a sharded one key the store identically. Cells run through
+/// the runner's supervised path, so its store, checkpoint cadence and
+/// watchdog budget apply exactly as in [`SweepJob::execute_shard`]. One
+/// replica renders plain tables; more render cell-wise mean ± stddev.
+///
+/// # Errors
+///
+/// [`ServiceError::CellsFailed`], labelled `label` and carrying
+/// replica-major unit indices, if any cell fails; the other cells still
+/// complete into the store.
+pub fn execute_replicated(
+    runner: &SweepRunner,
+    label: &str,
+    specs: &[ScenarioSpec],
+    replicas: u64,
+    render: impl Fn(&[ScenarioRun]) -> Vec<Table>,
+) -> Result<JobTables, ServiceError> {
+    let replicas = replicas.max(1);
+    let mut failures = Vec::new();
+    let per_replica: Vec<Vec<Option<ScenarioRun>>> = (0..replicas)
+        .map(|r| {
+            let baked: Vec<ScenarioSpec> = (0..)
+                .zip(specs)
+                .map(|(i, spec)| bake(spec, replicas, r, i))
+                .collect();
+            run_rebased(runner, &baked, r as usize * specs.len(), &mut failures)
+        })
+        .collect();
+    cells_failed(label, failures, replicas as usize * specs.len())?;
+    // A clean sweep filled every slot.
+    let per_replica: Vec<Vec<ScenarioRun>> = per_replica
+        .into_iter()
+        .map(|runs| runs.into_iter().flatten().collect())
+        .collect();
+    Ok(render_replicas(render, &per_replica))
+}
+
+/// Renders per-replica runs: one table set for a single replica,
+/// cell-wise mean ± stddev otherwise.
+fn render_replicas(
+    render: impl Fn(&[ScenarioRun]) -> Vec<Table>,
+    per_replica: &[Vec<ScenarioRun>],
+) -> JobTables {
+    if let [runs] = per_replica {
+        return JobTables::Single(render(runs));
+    }
+    let reps: Vec<Vec<Table>> = per_replica.iter().map(|runs| render(runs)).collect();
+    JobTables::Replicated(
+        (0..reps[0].len())
+            .map(|ti| {
+                let group: Vec<Table> = reps.iter().map(|r| r[ti].clone()).collect();
+                TableStats::from_replicas(&group)
+            })
+            .collect(),
+    )
 }
 
 /// Runs `specs` through the runner's supervised path, appending each
@@ -821,6 +794,21 @@ pub struct DrainReport {
     /// Whether the worker released its task and stopped early because
     /// heartbeats kept failing ([`MAX_HEARTBEAT_FAILURES`]).
     pub released: bool,
+}
+
+impl std::ops::AddAssign for DrainReport {
+    /// Folds one more drain pass into a running total: every counter
+    /// adds, and `released` is set if any pass released.
+    fn add_assign(&mut self, pass: DrainReport) {
+        self.tasks += pass.tasks;
+        self.executed += pass.executed;
+        self.reclaimed += pass.reclaimed;
+        self.exhausted += pass.exhausted;
+        self.cell_failures += pass.cell_failures;
+        self.retries += pass.retries;
+        self.heartbeat_failures += pass.heartbeat_failures;
+        self.released |= pass.released;
+    }
 }
 
 /// Claims and executes tasks from `queue` until it is empty, retrying
@@ -1015,7 +1003,7 @@ mod tests {
 
     #[test]
     fn shards_partition_the_units() {
-        let job = SweepJob::new("fig4", quick(), 1, SeedPolicy::SpecSeed).unwrap();
+        let job = SweepJob::new("fig4", quick(), 1).unwrap();
         let all = job.units().unwrap();
         let mut seen = vec![0usize; all.len()];
         for i in 0..3 {
@@ -1036,8 +1024,8 @@ mod tests {
     }
 
     #[test]
-    fn replicated_units_derive_like_the_runner() {
-        let job = SweepJob::new("fig4", quick(), 2, SeedPolicy::PerCell).unwrap();
+    fn replicated_units_double_derive_per_replica_and_cell() {
+        let job = SweepJob::new("fig4", quick(), 2).unwrap();
         let units = job.units().unwrap();
         let specs = (job.def().unwrap().specs)(&quick());
         assert_eq!(units.len(), 2 * specs.len());
@@ -1048,6 +1036,31 @@ mod tests {
             );
             assert_eq!(unit.spec.opts.seed, expect, "replica derivation");
         }
+    }
+
+    #[test]
+    fn replicas_are_deterministic_and_distinct() {
+        let specs = [ScenarioSpec::new("replica-cell", quick()).with_workload(
+            "xmem3",
+            crate::spec::WorkloadSpec::XMem { instance: 3 },
+            &[0],
+            a4_model::Priority::Low,
+        )];
+        let ipcs = std::cell::RefCell::new(Vec::new());
+        let run = || {
+            execute_replicated(&SweepRunner::serial(), "replicas", &specs, 2, |runs| {
+                ipcs.borrow_mut().push(runs[0].ipc("xmem3").to_bits());
+                Vec::new()
+            })
+            .unwrap()
+        };
+        run();
+        run();
+        // Distinct replicas simulate distinct runs; the same replica is
+        // bit-reproducible.
+        let ipcs = ipcs.into_inner();
+        assert_ne!(ipcs[0], ipcs[1]);
+        assert_eq!(ipcs[..2], ipcs[2..]);
     }
 
     #[test]
@@ -1064,7 +1077,7 @@ mod tests {
 
     #[test]
     fn jobs_round_trip_through_json() {
-        let job = SweepJob::new("fig12", quick(), 3, SeedPolicy::SpecSeed).unwrap();
+        let job = SweepJob::new("fig12", quick(), 3).unwrap();
         let json = serde_json::to_string(&job).unwrap();
         let back: SweepJob = serde_json::from_str(&json).unwrap();
         assert_eq!(back, job);
@@ -1074,7 +1087,7 @@ mod tests {
     #[test]
     fn unknown_figures_error() {
         assert!(matches!(
-            SweepJob::new("fig99", quick(), 1, SeedPolicy::SpecSeed),
+            SweepJob::new("fig99", quick(), 1),
             Err(ServiceError::UnknownFigure(_))
         ));
     }
@@ -1086,7 +1099,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("a4-service-exhaust-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let queue = JobQueue::open(&dir).unwrap();
-        let job = SweepJob::new("fig4", quick(), 1, SeedPolicy::SpecSeed).unwrap();
+        let job = SweepJob::new("fig4", quick(), 1).unwrap();
         // A single-unit shard keeps the test fast: every attempt
         // simulates one logical second before the watchdog trips.
         let cells = job.units().unwrap().len() as u64;
@@ -1142,7 +1155,7 @@ mod tests {
     fn missing_cells_are_reported_not_simulated() {
         let dir = std::env::temp_dir().join(format!("a4-service-missing-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let job = SweepJob::new("fig4", quick(), 1, SeedPolicy::SpecSeed).unwrap();
+        let job = SweepJob::new("fig4", quick(), 1).unwrap();
         let store = ResultCache::new(&dir);
         match job.render_from_store(&store) {
             Err(ServiceError::MissingCells { total, missing, .. }) => {

@@ -9,10 +9,10 @@
 //! cargo run --release --example allocation_sweep
 //! ```
 
-use a4::experiments::{JobTables, RunOpts, SeedPolicy, SweepJob, SweepRunner};
+use a4::experiments::{JobTables, RunOpts, SweepJob, SweepRunner};
 
 fn main() {
-    let job = SweepJob::new("fig3", RunOpts::paper(), 1, SeedPolicy::SpecSeed).expect("fig3");
+    let job = SweepJob::new("fig3", RunOpts::paper(), 1).expect("fig3");
     let JobTables::Single(tables) = job
         .execute(&SweepRunner::with_threads(4))
         .expect("static fig3 layout")

@@ -10,8 +10,8 @@ use a4::core::RunReport;
 use a4::experiments::service::ServiceError;
 use a4::experiments::{
     drain_queue, fabric_health, spec_key, Backoff, DrainReport, Enqueued, FaultFs, FaultPlan, Fs,
-    JobQueue, JobTables, ResultCache, RunOpts, ScenarioSpec, SeedPolicy, Shard, SweepJob,
-    SweepRunner, Task, TaskState, MIN_STALE_AGE,
+    JobQueue, JobTables, ResultCache, RunOpts, ScenarioSpec, Shard, SweepJob, SweepRunner, Task,
+    TaskState, MIN_STALE_AGE,
 };
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -87,7 +87,7 @@ fn task_files(dir: &Path, sub: &str, id: &str) -> Vec<PathBuf> {
 /// asserts the fabric's invariants at every step.
 fn crash_and_recover(seed: u64, crash_at: u64) {
     let dir = tmp_store(&format!("crash-{seed:x}-{crash_at}"));
-    let job = SweepJob::new("fig12", quick(), 1, SeedPolicy::SpecSeed).unwrap();
+    let job = SweepJob::new("fig12", quick(), 1).unwrap();
     let task = Task {
         job,
         shard: Shard::new(0, 2),
@@ -309,7 +309,7 @@ proptest! {
 #[test]
 fn fig12_chaos_drain_merges_byte_identical_to_fault_free() {
     let dir = tmp_store("e2e");
-    let job = SweepJob::new("fig12", quick(), 1, SeedPolicy::SpecSeed).unwrap();
+    let job = SweepJob::new("fig12", quick(), 1).unwrap();
 
     // Reference: the direct, fault-free, cache-less path.
     let direct = job.execute(&SweepRunner::serial()).unwrap();
@@ -351,11 +351,7 @@ fn fig12_chaos_drain_merges_byte_identical_to_fault_free() {
             |_| {},
         )
         .expect("drain converges under chaos");
-        drain.tasks += pass.tasks;
-        drain.executed += pass.executed;
-        drain.reclaimed += pass.reclaimed;
-        drain.retries += pass.retries;
-        drain.heartbeat_failures += pass.heartbeat_failures;
+        drain += pass;
         let (_, _, done) = queue.counts().unwrap();
         if done == 3 {
             break;
@@ -396,7 +392,7 @@ fn fig12_chaos_drain_merges_byte_identical_to_fault_free() {
 #[test]
 fn best_effort_merge_renders_partial_sweeps_with_missing_cells() {
     let dir = tmp_store("best-effort");
-    let job = SweepJob::new("fig12", quick(), 1, SeedPolicy::SpecSeed).unwrap();
+    let job = SweepJob::new("fig12", quick(), 1).unwrap();
     job.execute_shard(
         Shard::new(0, 3),
         &SweepRunner::serial().with_cache_dir(&dir),

@@ -7,13 +7,13 @@
 //! code (`a4-repro fig12 fig13 --quick --json`); these tests regenerate
 //! them with the current code and compare the serialized bytes.
 
-use a4::experiments::{JobTables, Protocol, SeedPolicy, SweepJob, SweepRunner, Table};
+use a4::experiments::{JobTables, Protocol, SweepJob, SweepRunner, Table};
 
 /// Runs `figure` under a4-repro's `--quick` controller protocol through
 /// the direct sweep-service path, on two threads.
 fn quick_ctl_tables(figure: &str) -> Vec<Table> {
     let opts = Protocol::Controller.opts(true);
-    let job = SweepJob::new(figure, opts, 1, SeedPolicy::SpecSeed).expect("known figure");
+    let job = SweepJob::new(figure, opts, 1).expect("known figure");
     match job.execute(&SweepRunner::with_threads(2)) {
         Ok(JobTables::Single(tables)) => tables,
         other => panic!("{figure}: expected plain tables, got {other:?}"),

@@ -8,10 +8,11 @@
 
 use a4::experiments::service::ServiceError;
 use a4::experiments::{
-    spec_key, CkptStore, FailureKind, ResultCache, RunOpts, ScenarioSpec, SeedPolicy, Shard,
-    SweepJob, SweepRunner, WorkloadSpec,
+    execute_replicated, spec_key, CkptStore, FailureKind, ResultCache, RunOpts, ScenarioSpec,
+    Shard, SweepJob, SweepRunner, WorkloadSpec,
 };
 use a4::model::Priority;
+use std::cell::RefCell;
 use std::path::PathBuf;
 
 fn tmp_cache(tag: &str) -> PathBuf {
@@ -171,7 +172,7 @@ fn editing_one_cell_invalidates_only_itself() {
 #[test]
 fn replicas_key_the_cache_independently() {
     // `--replicas N` reruns each cell at doubly-derived seeds; every
-    // (cell, replica) pair must cache under its own key (the effective
+    // (replica, cell) pair must cache under its own key (the effective
     // post-derivation spec), reproduce bit-identically warm, and never
     // collide with the plain runs. X-Mem 3 consumes the workload RNG, so
     // distinct seeds give distinct results.
@@ -187,46 +188,38 @@ fn replicas_key_the_cache_independently() {
             )
         })
         .collect();
-    let run_replica = |r: u64| -> Vec<(u64, u64, u64, u64)> {
-        SweepRunner::serial()
-            .with_cache_dir(&dir)
-            .replica(r)
-            .run_specs_robust(&specs)
-            .into_runs()
-            .unwrap()
-            .iter()
-            .map(fingerprint)
-            .collect()
+    // Runs the specs through the job-level replica path; returns each
+    // replica's fingerprints and how many cells the run simulated.
+    let run = |replicas: u64| {
+        let runner = SweepRunner::serial().with_cache_dir(&dir);
+        let per_replica = RefCell::new(Vec::new());
+        execute_replicated(&runner, "replicas", &specs, replicas, |runs| {
+            per_replica
+                .borrow_mut()
+                .push(runs.iter().map(fingerprint).collect::<Vec<_>>());
+            Vec::new()
+        })
+        .unwrap();
+        (
+            per_replica.into_inner(),
+            runner.cache().unwrap().simulated(),
+        )
     };
+    let entries = || std::fs::read_dir(&dir).unwrap().count();
 
-    let rep0 = run_replica(0);
-    let entries_after_rep0 = std::fs::read_dir(&dir).unwrap().count();
-    assert_eq!(entries_after_rep0, specs.len(), "one entry per cell");
-    let rep1 = run_replica(1);
-    let entries_after_rep1 = std::fs::read_dir(&dir).unwrap().count();
-    assert_ne!(rep0, rep1, "replicas simulate distinct seeds");
-    assert_eq!(
-        entries_after_rep1,
-        2 * specs.len(),
-        "each replica owns its cache entries"
-    );
+    let (cold, simulated) = run(2);
+    assert_eq!(simulated, 2 * specs.len() as u64);
+    assert_ne!(cold[0], cold[1], "replicas simulate distinct seeds");
+    assert_eq!(entries(), 2 * specs.len(), "one entry per (replica, cell)");
 
     // Warm re-runs of both replicas are byte-identical and add nothing.
-    assert_eq!(run_replica(0), rep0);
-    assert_eq!(run_replica(1), rep1);
-    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2 * specs.len());
+    assert_eq!(run(2), (cold.clone(), 0));
+    assert_eq!(entries(), 2 * specs.len());
 
-    // A plain (underived) run keys separately from every replica.
-    let plain: Vec<_> = SweepRunner::serial()
-        .with_cache_dir(&dir)
-        .run_specs_robust(&specs)
-        .into_runs()
-        .unwrap()
-        .iter()
-        .map(fingerprint)
-        .collect();
-    assert_ne!(plain, rep0);
-    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 3 * specs.len());
+    // A plain (single-replica) run keys separately from every replica.
+    let (plain, _) = run(1);
+    assert_ne!(plain[0], cold[0]);
+    assert_eq!(entries(), 3 * specs.len());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -243,7 +236,6 @@ fn direct_execution_runs_under_the_runners_supervision() {
             seed: 0xA4,
         },
         1,
-        SeedPolicy::SpecSeed,
     )
     .unwrap();
     let cells = job.units().unwrap().len();
@@ -295,7 +287,6 @@ fn warm_shared_store_never_simulates() {
             seed: 0xA4,
         },
         1,
-        SeedPolicy::SpecSeed,
     )
     .unwrap();
 

@@ -8,8 +8,7 @@
 
 use a4::experiments::service::ServiceError;
 use a4::experiments::{
-    fig11, fig13, JobQueue, JobTables, ResultCache, RunOpts, SeedPolicy, Shard, SweepJob,
-    SweepRunner, Task,
+    fig11, fig13, JobQueue, JobTables, ResultCache, RunOpts, Shard, SweepJob, SweepRunner, Task,
 };
 use std::path::PathBuf;
 
@@ -45,7 +44,7 @@ fn assert_rendered_identical(a: &JobTables, b: &JobTables) {
 
 #[test]
 fn fig12_tables_are_identical_across_thread_counts() {
-    let job = SweepJob::new("fig12", quick(), 1, SeedPolicy::SpecSeed).unwrap();
+    let job = SweepJob::new("fig12", quick(), 1).unwrap();
     let serial = job.execute(&SweepRunner::serial()).unwrap();
     let parallel = job.execute(&SweepRunner::with_threads(4)).unwrap();
     // Byte-identical in both renderings.
@@ -70,7 +69,7 @@ fn fig13_tables_are_identical_across_thread_counts() {
 #[test]
 fn sharded_execution_merges_byte_identical_to_direct() {
     let dir = tmp_store("shards");
-    let job = SweepJob::new("fig12", quick(), 1, SeedPolicy::SpecSeed).unwrap();
+    let job = SweepJob::new("fig12", quick(), 1).unwrap();
 
     // Reference: the direct, single-process, cache-less path.
     let direct = job.execute(&SweepRunner::serial()).unwrap();
@@ -103,7 +102,7 @@ fn sharded_execution_merges_byte_identical_to_direct() {
 #[test]
 fn queue_workers_drain_to_identical_tables() {
     let dir = tmp_store("queue");
-    let job = SweepJob::new("fig4", quick(), 1, SeedPolicy::SpecSeed).unwrap();
+    let job = SweepJob::new("fig4", quick(), 1).unwrap();
     let direct = job.execute(&SweepRunner::serial()).unwrap();
 
     // Enqueue the job as two shard tasks and drain them with two
